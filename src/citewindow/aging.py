@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import EmptyCorpusError, ZeroCitationsError
 from .model import Corpus, PaperRecord, YearWindow, citations_in_window, cumulative_series
@@ -184,77 +185,42 @@ def partition_by_mass(
     )
 
 
-def _group_span(papers: list[PaperRecord], ref_year: int) -> int | None:
-    """Largest years-since-publication at which the group received a citation."""
-    span = None
-    for paper in papers:
-        last = paper.last_citation_year(ref_year)
-        if last is not None:
-            age_of_last = last - paper.pub_year
-            span = age_of_last if span is None else max(span, age_of_last)
-    return span
-
-
-def group_cumulative_curves(
-    corpus: Corpus, partition: GroupPartition, ref_year: int | None = None
-) -> list[list[Fraction]]:
+def group_cumulative_curves(corpus: Corpus, partition: GroupPartition) -> list[list[Fraction]]:
     """Per-group percentage of the group's citations received by year t.
 
     Element t of a curve is 100 * (citations received by all group
-    members within t years of their own publication) / (group mass);
-    papers older than t contribute their saturated total.  Curves run
-    until the group's last citation, where they reach exactly 100.
-    Groups without citations yield empty curves.
+    members within t years of their own publication) / (group mass), the
+    running sum of :func:`group_yearly_counts`; papers older than t
+    contribute their saturated total.  Curves run until the group's last
+    citation, where they reach exactly 100.  Groups without citations
+    yield empty curves.
     """
-    if ref_year is None:
-        ref_year = partition.ref_year
-    curves: list[list[Fraction]] = []
-    for group in partition.groups:
-        papers = [
-            corpus.by_id[pid]
-            for pid in group.paper_ids
-            if corpus.by_id[pid].pub_year <= ref_year
-        ]
-        span = _group_span(papers, ref_year)
-        if span is None:
-            curves.append([])
-            continue
-        series = [cumulative_series(p, ref_year) for p in papers]
-        curve = []
-        for t in range(span + 1):
-            got = sum(s[min(t, len(s) - 1)] for s in series)
-            curve.append(Fraction(100 * got, group.mass))
-        curves.append(curve)
-    return curves
+    return [
+        [Fraction(100 * got, group.mass) for got in accumulate(counts)]
+        for group, counts in zip(partition.groups, group_yearly_counts(corpus, partition))
+    ]
 
 
-def group_yearly_counts(
-    corpus: Corpus, partition: GroupPartition, ref_year: int | None = None
-) -> list[list[int]]:
+def group_yearly_counts(corpus: Corpus, partition: GroupPartition) -> list[list[int]]:
     """Per-group citations received exactly t years after publication.
 
     Counts are aligned by each paper's own age, not by calendar year, and
-    run until the group's last citation; interior years without citations
-    contribute 0.  The counts of a group sum to its mass.  Year 0 covers
-    only the months after publication, so it is usually not a full year.
+    run until the group's last citation up to the partition's
+    ``ref_year``; interior years without citations contribute 0.  The
+    counts of a group sum to its mass.  Year 0 covers only the months
+    after publication, so it is usually not a full year.
     """
-    if ref_year is None:
-        ref_year = partition.ref_year
     result: list[list[int]] = []
     for group in partition.groups:
-        papers = [
-            corpus.by_id[pid]
-            for pid in group.paper_ids
-            if corpus.by_id[pid].pub_year <= ref_year
-        ]
-        span = _group_span(papers, ref_year)
-        if span is None:
-            result.append([])
-            continue
-        counts = [0] * (span + 1)
-        for paper in papers:
-            for year, count in paper.citations:
-                if year <= ref_year:
-                    counts[year - paper.pub_year] += count
+        counts: list[int] = []
+        for pid in group.paper_ids:
+            paper = corpus.by_id[pid]
+            for year, count in paper.citations:  # sorted by year
+                if year > partition.ref_year:
+                    break
+                age = year - paper.pub_year
+                if age >= len(counts):
+                    counts += [0] * (age + 1 - len(counts))
+                counts[age] += count
         result.append(counts)
     return result

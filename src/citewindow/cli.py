@@ -49,20 +49,46 @@ def _write(text: str, output: str | None) -> None:
         Path(output).write_text(text, encoding="utf-8", newline="")
 
 
-def _parse_t_list(parser, raw: str):
-    values = []
-    for token in raw.split(","):
-        token = token.strip()
-        if token.lower() == "all":
-            values.append(indices.ALL)
-        else:
-            try:
-                values.append(int(token))
-            except ValueError:
-                parser.error(f"--t-list entries must be integers or 'all', got {token!r}")
-    if not values:
-        parser.error("--t-list must not be empty")
-    return values
+def _checked(convert, ok, wanted: str):
+    """argparse type: ``convert`` the text and accept the value when ``ok`` holds."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except (ValueError, ZeroDivisionError):
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+        return value
+
+    return parse
+
+
+_NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_NON_NEGATIVE_RATIONAL = _checked(as_fraction, lambda v: v >= 0, "a number >= 0")
+_SHARE = _checked(as_fraction, lambda v: 0 < v <= 1, "a fraction in (0, 1]")
+_PERCENTAGE = _checked(as_fraction, lambda v: 0 < v <= 100, "a percentage in (0, 100]")
+_WINDOW_LENGTH = _checked(
+    lambda t: indices.ALL if t.lower() == "all" else int(t),
+    lambda v: v is indices.ALL or v >= 0,
+    "an integer >= 0 or 'all'",
+)
+
+
+def _t_list(text: str) -> list:
+    """--t-list: comma-separated window lengths."""
+    return [_WINDOW_LENGTH(token.strip()) for token in text.split(",")]
+
+
+def _quantile_tokens(text: str) -> tuple[str, ...]:
+    """--quantiles: comma-separated percentages, kept as typed for the column labels."""
+    tokens = tuple(t.strip() for t in text.split(",") if t.strip())
+    if not tokens:
+        raise argparse.ArgumentTypeError("must not be empty")
+    for token in tokens:
+        _PERCENTAGE(token)
+    return tokens
 
 
 def _parse_window(parser, raw: str, flag: str) -> YearWindow:
@@ -103,9 +129,8 @@ def cmd_validate(parser, args) -> int:
 
 def cmd_evolution(parser, args) -> int:
     corpus = _load(parser, args)
-    t_values = _parse_t_list(parser, args.t_list)
     table = tables.evolution_output(
-        corpus, t_values, args.y_from, args.y_to, args.interpolated
+        corpus, args.t_list, args.y_from, args.y_to, args.interpolated
     )
     _emit_tables(args, ("evolution", table))
     return 0
@@ -113,10 +138,7 @@ def cmd_evolution(parser, args) -> int:
 
 def cmd_aging(parser, args) -> int:
     corpus = _load(parser, args)
-    tokens = tuple(t.strip() for t in args.quantiles.split(",") if t.strip())
-    if not tokens:
-        parser.error("--quantiles must not be empty")
-    table = tables.aging_output(corpus, args.min_citations, tokens, args.ref_year)
+    table = tables.aging_output(corpus, args.min_citations, args.quantiles, args.ref_year)
     _emit_tables(args, ("aging", table))
     return 0
 
@@ -124,7 +146,7 @@ def cmd_aging(parser, args) -> int:
 def cmd_groups(parser, args) -> int:
     corpus = _load(parser, args)
     manifest, curve = tables.groups_output(
-        corpus, as_fraction(args.mass_fraction), args.mode, args.ref_year
+        corpus, args.mass_fraction, args.mode, args.ref_year
     )
     _emit_tables(args, ("groups", manifest), ("curve", curve))
     return 0
@@ -186,8 +208,8 @@ def cmd_index(parser, args) -> int:
         _write(format_fixed(aif.value, 4) + "\n", args.output)
         return 0
     else:
-        gamma = as_fraction(args.gamma) if args.gamma is not None else 4
-        delta = as_fraction(args.delta) if args.delta is not None else 1
+        gamma = 4 if args.gamma is None else args.gamma
+        delta = 1 if args.delta is None else args.delta
         value = indices.contemporary_h(corpus, args.year, gamma, delta, args.interpolated)
 
     if args.interpolated:
@@ -231,7 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolution", help="timed index values per year and window length")
     _add_corpus_argument(p)
-    p.add_argument("--t-list", default=DEFAULT_T_LIST, help="comma list of lengths, 'all' allowed")
+    p.add_argument(
+        "--t-list",
+        type=_t_list,
+        default=DEFAULT_T_LIST,
+        help="comma list of lengths, 'all' allowed",
+    )
     p.add_argument("--from", dest="y_from", type=int, help="first year (default: y0)")
     p.add_argument("--to", dest="y_to", type=int, help="last year (default: y_end)")
     p.add_argument("--interpolated", action="store_true")
@@ -241,14 +268,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aging", help="per-paper quantile citation windows")
     _add_corpus_argument(p)
     p.add_argument("--min-citations", type=int, default=20)
-    p.add_argument("--quantiles", default="25,50,75,90", help="comma list of percentages")
+    p.add_argument(
+        "--quantiles",
+        type=_quantile_tokens,
+        default="25,50,75,90",
+        help="comma list of percentages",
+    )
     p.add_argument("--ref-year", type=int)
     _add_output_arguments(p)
     p.set_defaults(handler=cmd_aging)
 
     p = sub.add_parser("groups", help="citation-mass groups and their aging curves")
     _add_corpus_argument(p)
-    p.add_argument("--mass-fraction", default="0.15", help="target share per group")
+    p.add_argument("--mass-fraction", type=_SHARE, default="0.15", help="target share per group")
     p.add_argument("--mode", choices=("cumulative", "yearly"), default="cumulative")
     p.add_argument("--ref-year", type=int)
     _add_output_arguments(p)
@@ -257,15 +289,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="print a single index value")
     _add_corpus_argument(p)
     p.add_argument("--year", type=int)
-    p.add_argument("--t", type=int, help="window length for the timed index")
+    p.add_argument("--t", type=_NON_NEGATIVE_INT, help="window length for the timed index")
     p.add_argument("--pub-window", metavar="A:B", help="publication window, '*' = unbounded")
     p.add_argument("--cite-window", metavar="A:B", help="citation window, '*' = unbounded")
     p.add_argument("--preset", choices=("h5", "aif", "contemporary"))
     p.add_argument("--interpolated", action="store_true")
-    p.add_argument("--span", type=int, help="citation span for h5 (default 5)")
-    p.add_argument("--delta-t", type=int, help="publication window for aif (default 5)")
-    p.add_argument("--gamma", help="scale factor for contemporary (default 4)")
-    p.add_argument("--delta", help="age exponent for contemporary (default 1)")
+    p.add_argument("--span", type=_NON_NEGATIVE_INT, help="citation span for h5 (default 5)")
+    p.add_argument("--delta-t", type=_POSITIVE_INT, help="publication window for aif (default 5)")
+    p.add_argument(
+        "--gamma", type=_NON_NEGATIVE_RATIONAL, help="scale factor for contemporary (default 4)"
+    )
+    p.add_argument("--delta", type=int, help="integer age exponent for contemporary (default 1)")
     _add_output_arguments(p, formats=False)
     p.set_defaults(handler=cmd_index)
 

@@ -9,6 +9,7 @@ and the evolution table are thin variations on that kernel.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -138,24 +139,34 @@ def _as_ranked(c) -> RankedCitations:
     return RankedCitations(tuple(c))
 
 
+def _h_index(ordered, interpolated: bool) -> tuple[int, Fraction | None]:
+    """h of a non-increasing sequence and, when asked, its interpolation.
+
+    ``ordered`` is a numpy int64 array or a sequence of ints or Fractions.
+    The predicate c(i) >= i holds for a prefix of the ranks, so a bisection
+    finds h; see :func:`interpolate_h` for the interpolated value.
+    """
+    # Python ints from numpy: Fraction(np.int64) would keep a numpy
+    # numerator, and numpy scalar comparisons are slow.
+    at = ordered.item if isinstance(ordered, np.ndarray) else ordered.__getitem__
+    h = bisect_left(range(len(ordered)), True, key=lambda k: at(k) < k + 1)
+    if not interpolated:
+        return h, None
+    if h == 0:
+        return 0, Fraction(0)
+    c_h = Fraction(at(h - 1))
+    c_h1 = Fraction(at(h)) if h < len(ordered) else Fraction(0)
+    # Fixed point of the line through (h, c(h)) and (h + 1, c(h + 1)).
+    return h, (c_h + h * (c_h - c_h1)) / (1 + c_h - c_h1)
+
+
 def h_from_ranked(c: RankedCitations | Sequence) -> int:
     """Largest rank whose citation frequency still reaches the rank.
 
     Zero for an empty vector or when even the top paper has less than
     one citation.
     """
-    h = 0
-    for rank, value in enumerate(_as_ranked(c), start=1):
-        if value >= rank:
-            h = rank
-        else:
-            break
-    return h
-
-
-def _interpolation_point(h: int, c_h: Fraction, c_h1: Fraction) -> Fraction:
-    # Fixed point of the line through (h, c(h)) and (h + 1, c(h + 1)).
-    return (c_h + h * (c_h - c_h1)) / (1 + c_h - c_h1)
+    return _h_index(_as_ranked(c).values, False)[0]
 
 
 def interpolate_h(c: RankedCitations | Sequence, h: int) -> Fraction:
@@ -166,12 +177,10 @@ def interpolate_h(c: RankedCitations | Sequence, h: int) -> Fraction:
     defined).  ``h`` must be the value :func:`h_from_ranked` yields for
     ``c``; c(h+1) is 0 past the end of the vector.
     """
-    c = _as_ranked(c)
-    if h != h_from_ranked(c):
+    index, interp = _h_index(_as_ranked(c).values, True)
+    if h != index:
         raise ValueError(f"h={h} is not the index of the given ranked vector")
-    if h == 0:
-        return Fraction(0)
-    return _interpolation_point(h, Fraction(c.at(h)), Fraction(c.at(h + 1)))
+    return interp
 
 
 def windowed_h(
@@ -189,18 +198,7 @@ def windowed_h(
     if corpus.is_empty:
         return IndexValue(0, Fraction(0) if interpolated else None)
     counts = corpus._dense.window_counts(pub_window, cite_window)
-    n = counts.size
-    if n == 0:
-        return IndexValue(0, Fraction(0) if interpolated else None)
-    ordered = np.sort(counts)[::-1]
-    h = int(np.count_nonzero(ordered >= np.arange(1, n + 1)))
-    if not interpolated:
-        return IndexValue(h)
-    if h == 0:
-        return IndexValue(0, Fraction(0))
-    c_h = Fraction(int(ordered[h - 1]))
-    c_h1 = Fraction(int(ordered[h])) if h < n else Fraction(0)
-    return IndexValue(h, _interpolation_point(h, c_h, c_h1))
+    return IndexValue(*_h_index(np.sort(counts)[::-1], interpolated))
 
 
 def timed_h(corpus: Corpus, y: int, t: int, interpolated: bool = False) -> IndexValue:
@@ -300,20 +298,22 @@ def contemporary_h(
     """h-index over age-discounted scores gamma * (age)^(-delta) * citations.
 
     Age counts the publication year itself, so a paper published in year
-    y has age 1.  Scores stay exact rationals whenever ``delta`` is an
-    integer (the default); papers published after y are ignored.
+    y has age 1; papers published after y are ignored.  ``gamma`` must be
+    a non-negative rational and ``delta`` an integer, so that every score
+    is an exact rational; other values raise :class:`InvalidRangeError`.
     """
     gamma = as_fraction(gamma)
     delta = as_fraction(delta)
+    if gamma < 0:
+        raise InvalidRangeError(f"gamma must be non-negative, got {gamma}")
+    if delta.denominator != 1:
+        raise InvalidRangeError(f"delta must be an integer, got {delta}")
     scores = []
     for paper in corpus.papers:
         if paper.pub_year > y:
             continue
         age = y - paper.pub_year + 1
         total = paper.total_citations(y)
-        scores.append(gamma * Fraction(age) ** (-delta) * total)
-    ranked = RankedCitations.from_counts(scores)
-    h = h_from_ranked(ranked)
-    if not interpolated:
-        return IndexValue(h)
-    return IndexValue(h, interpolate_h(ranked, h))
+        scores.append(gamma * Fraction(age) ** -int(delta) * total)
+    scores.sort(reverse=True)
+    return IndexValue(*_h_index(scores, interpolated))

@@ -79,6 +79,33 @@ def _parse_int(cell: str, what: str, locator: str) -> int:
         raise ParseError(f"{what} must be an integer, got {cell!r}", locator) from None
 
 
+def _csv_rows(text: str, what: str):
+    """(locator, row) pairs of a CSV text; malformed CSV becomes a located ParseError."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        for row in reader:
+            yield f"{what} line {reader.line_num}", row
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", f"{what} line {reader.line_num}") from None
+
+
+def _csv_text(header, rows) -> str:
+    """Minimally quoted CSV with LF row ends, quoting every field that holds CR or LF.
+
+    The writer quotes fields containing a character of its line
+    terminator, and with an LF terminator a bare CR stays unquoted, which
+    readers take for a row end.  So rows are written with CRLF ends, and
+    the ends outside quoted fields are turned back into LF.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    parts = out.getvalue().split('"')
+    parts[::2] = [part.replace("\r\n", "\n") for part in parts[::2]]
+    return '"'.join(parts)
+
+
 def _clamp_years(pub_year: int, yearly: dict[int, int]) -> dict[int, int]:
     clamped: dict[int, int] = {}
     for year, count in yearly.items():
@@ -96,8 +123,8 @@ def parse_corpus_csv(papers_file, citations_file, opts: IngestOptions | None = N
     """
     opts = opts or IngestOptions()
 
-    papers_reader = csv.reader(io.StringIO(_decode(papers_file, "papers")))
-    header = next(papers_reader, None)
+    papers_rows = _csv_rows(_decode(papers_file, "papers"), "papers")
+    _, header = next(papers_rows, (None, None))
     if header is None or tuple(header) not in (PAPERS_HEADER, PAPERS_HEADER[:2]):
         raise MalformedHeaderError(
             f"papers header must be {','.join(PAPERS_HEADER)}", "papers line 1"
@@ -106,8 +133,7 @@ def parse_corpus_csv(papers_file, citations_file, opts: IngestOptions | None = N
     order: list[str] = []
     pub_years: dict[str, int] = {}
     titles: dict[str, str | None] = {}
-    for row in papers_reader:
-        locator = f"papers line {papers_reader.line_num}"
+    for locator, row in papers_rows:
         if not row:
             continue
         if len(row) != width:
@@ -121,15 +147,14 @@ def parse_corpus_csv(papers_file, citations_file, opts: IngestOptions | None = N
         titles[paper_id] = row[2] if width == 3 and row[2] else None
         order.append(paper_id)
 
-    citations_reader = csv.reader(io.StringIO(_decode(citations_file, "citations")))
-    header = next(citations_reader, None)
+    citations_rows = _csv_rows(_decode(citations_file, "citations"), "citations")
+    _, header = next(citations_rows, (None, None))
     if header is None or tuple(header) != CITATIONS_HEADER:
         raise MalformedHeaderError(
             f"citations header must be {','.join(CITATIONS_HEADER)}", "citations line 1"
         )
     yearly: dict[str, dict[int, int]] = {paper_id: {} for paper_id in order}
-    for row in citations_reader:
-        locator = f"citations line {citations_reader.line_num}"
+    for locator, row in citations_rows:
         if not row:
             continue
         if len(row) != 3:
@@ -237,20 +262,14 @@ def export_corpus_csv(corpus: Corpus) -> tuple[bytes, bytes]:
     Rows are sorted by (paper_id, year) and line endings are LF, so equal
     corpora produce identical bytes on every platform.
     """
-    papers_out = io.StringIO()
-    writer = csv.writer(papers_out, lineterminator="\n")
-    writer.writerow(PAPERS_HEADER)
-    for paper in corpus.papers:
-        writer.writerow([paper.id, paper.pub_year, paper.title or ""])
-
-    citations_out = io.StringIO()
-    writer = csv.writer(citations_out, lineterminator="\n")
-    writer.writerow(CITATIONS_HEADER)
-    for paper in corpus.papers:
-        for year, count in paper.citations:
-            writer.writerow([paper.id, year, count])
-
-    return papers_out.getvalue().encode(), citations_out.getvalue().encode()
+    papers = _csv_text(
+        PAPERS_HEADER, ([p.id, p.pub_year, p.title or ""] for p in corpus.papers)
+    )
+    citations = _csv_text(
+        CITATIONS_HEADER,
+        ([p.id, year, count] for p in corpus.papers for year, count in p.citations),
+    )
+    return papers.encode(), citations.encode()
 
 
 def export_corpus_json(corpus: Corpus) -> bytes:

@@ -8,8 +8,10 @@ can be shared freely between threads or workers.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -161,35 +163,35 @@ class RankedCitations:
 class _DenseCounts:
     """Per-corpus numpy cache backing the windowed-count kernel.
 
-    ``prefix[j]`` holds, per paper, the citations in years strictly
-    before ``base + j``, so any inclusive year window reduces to one
-    row subtraction.  Built lazily, once per corpus.
+    Rows run over the distinct citation years ``years`` only, so an
+    outlier year adds one row rather than a span of empty ones.
+    ``prefix[j]`` holds, per paper, the citations in ``years[:j]``, so any
+    inclusive year window reduces to one row subtraction.  Built lazily,
+    once per corpus.
     """
 
     def __init__(self, corpus: "Corpus"):
-        base = corpus.y0
-        n_years = corpus.y_end - base + 1
-        raw = np.zeros((n_years, len(corpus.papers)), dtype=np.int64)
-        for column, paper in enumerate(corpus.papers):
-            for year, count in paper.citations:
-                raw[year - base, column] = count
-        self.base = base
-        self.n_years = n_years
-        self.pub_years = np.array([p.pub_year for p in corpus.papers], dtype=np.int64)
-        self.prefix = np.zeros((n_years + 1, len(corpus.papers)), dtype=np.int64)
-        np.cumsum(raw, axis=0, out=self.prefix[1:])
+        papers = corpus.papers
+        # One (year, count) row per citation entry, paper after paper.
+        pairs = np.fromiter(
+            chain.from_iterable(chain.from_iterable(p.citations for p in papers)), dtype=np.int64
+        ).reshape(-1, 2)
+        years, rows = np.unique(pairs[:, 0], return_inverse=True)
+        columns = np.repeat(np.arange(len(papers)), [len(p.citations) for p in papers])
+        self.prefix = np.zeros((years.size + 1, len(papers)), dtype=np.int64)
+        self.prefix[rows + 1, columns] = pairs[:, 1]
+        np.cumsum(self.prefix, axis=0, out=self.prefix)
+        # A list, because bisect on it is much cheaper per query than np.searchsorted.
+        self.years = years.tolist()
+        self.pub_years = np.array([p.pub_year for p in papers], dtype=np.int64)
 
     def window_counts(self, pub_window: YearWindow, cite_window: YearWindow) -> np.ndarray:
         """In-window citation counts of the papers published in ``pub_window``."""
         mask = self.pub_years <= pub_window.end
         if pub_window.start is not None:
             mask &= self.pub_years >= pub_window.start
-        lo = 0
-        if cite_window.start is not None:
-            lo = min(max(cite_window.start - self.base, 0), self.n_years)
-        hi = min(max(cite_window.end - self.base + 1, 0), self.n_years)
-        if hi <= lo:
-            return np.zeros(int(mask.sum()), dtype=np.int64)
+        lo = 0 if cite_window.start is None else bisect_left(self.years, cite_window.start)
+        hi = bisect_right(self.years, cite_window.end)
         return (self.prefix[hi] - self.prefix[lo])[mask]
 
 

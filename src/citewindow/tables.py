@@ -9,14 +9,13 @@ back with standard CSV tooling.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import aging as _aging
 from . import indices as _indices
+from .ingest import _csv_text
 from .model import Corpus, YearWindow, citations_in_window
 from .rational import as_fraction, format_fixed
 
@@ -42,11 +41,7 @@ class OutputTable:
                 )
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(self.columns)
-        writer.writerows(self.rows)
-        return out.getvalue()
+        return _csv_text(self.columns, self.rows)
 
     def to_json_obj(self) -> dict:
         return {"columns": list(self.columns), "rows": [list(r) for r in self.rows]}

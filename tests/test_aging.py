@@ -222,3 +222,30 @@ class TestGroupCurves:
                 assert curve[-1] == Fraction(100)
                 assert all(a <= b for a, b in zip(curve, curve[1:]))
                 assert len(curve) == len(counts)
+
+    @given(
+        small_corpora(),
+        st.sampled_from([Fraction(1, 10), Fraction(15, 100), Fraction(1, 2)]),
+        st.integers(0, 12),
+    )
+    @settings(max_examples=100)
+    def test_cumulative_matches_brute_force(self, corpus, fraction, ref_offset):
+        ref_year = corpus.y0 + ref_offset
+        if corpus.total_citations(ref_year) == 0:
+            return
+        partition = partition_by_mass(corpus, fraction, ref_year=ref_year)
+        curves = group_cumulative_curves(corpus, partition)
+        for group, curve in zip(partition, curves):
+            members = [corpus.by_id[pid] for pid in group.paper_ids]
+            cited = [
+                (year - p.pub_year, count)
+                for p in members
+                for year, count in p.citations
+                if year <= ref_year
+            ]
+            span = max((age for age, _ in cited), default=-1)
+            expected = [
+                Fraction(100 * sum(c for age, c in cited if age <= t), group.mass)
+                for t in range(span + 1)
+            ]
+            assert curve == expected

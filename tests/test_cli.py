@@ -266,12 +266,43 @@ class TestIndex:
             ["--preset", "aif", "--year", "2002", "--interpolated"],
             ["--preset", "h5", "--year", "2005", "--delta-t", "3"],
             ["--pub-window", "oops:2005", "--cite-window", "*:2005"],
+            ["--year", "2001", "--t", "-1"],
+            ["--preset", "h5", "--year", "2005", "--span", "-1"],
+            ["--preset", "aif", "--year", "2002", "--delta-t", "0"],
+            ["--preset", "contemporary", "--year", "2005", "--gamma", "abc"],
+            ["--preset", "contemporary", "--year", "2005", "--gamma", "-1"],
+            ["--preset", "contemporary", "--year", "2005", "--delta", "0.5"],
         ],
     )
     def test_usage_errors_exit_2(self, capsys, toy_json, argv):
         with pytest.raises(SystemExit) as exc:
             main(["index", toy_json, *argv])
         assert exc.value.code == 2
+
+
+def assert_bad_flag_exits_2(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "Traceback" not in err
+    assert flag in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "2"])
+def test_groups_bad_mass_fraction_exits_2(capsys, toy_json, value):
+    argv = ["groups", toy_json, "--mass-fraction", value]
+    assert_bad_flag_exits_2(capsys, argv, "--mass-fraction")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "150", ","])
+def test_aging_bad_quantiles_exit_2(capsys, toy_json, value):
+    assert_bad_flag_exits_2(capsys, ["aging", toy_json, "--quantiles", value], "--quantiles")
+
+
+@pytest.mark.parametrize("value", ["-1", "2,-1,all"])
+def test_evolution_negative_t_list_exits_2(capsys, toy_json, value):
+    assert_bad_flag_exits_2(capsys, ["evolution", toy_json, "--t-list", value], "--t-list")
 
 
 class TestOutputHandling:

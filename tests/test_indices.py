@@ -16,6 +16,7 @@ from citewindow import (
     RankedCitations,
     YearWindow,
     author_impact_factor,
+    citations_in_window,
     contemporary_h,
     evolution_table,
     h5_index,
@@ -144,6 +145,27 @@ class TestWindowedH:
         h = h_from_ranked(ranked)
         expected = IndexValue(h, interpolate_h(ranked, h))
         assert windowed_h(corpus, pub, cite, interpolated=True) == expected
+
+    def test_outlier_year_cache_matches_brute_force(self):
+        corpus = validate_corpus(
+            [PaperRecord("old", 1000, {2020: 3}), PaperRecord("new", 2018, {2019: 1, 2020: 2})]
+        )
+        assert corpus._dense.prefix.shape[0] <= 3
+        windows = [
+            (YearWindow(1000, 2020), YearWindow(2019, 2020)),
+            (YearWindow(2018, 2018), YearWindow(2020, 2020)),
+            (YearWindow.through(2020), YearWindow.through(2020)),
+            (YearWindow.through(1000), YearWindow.through(2019)),
+            (YearWindow.through(2020), YearWindow(1001, 2018)),
+            (YearWindow(1001, 2017), YearWindow.through(2020)),
+            (YearWindow.through(2020), YearWindow(900, 950)),
+            (YearWindow.through(2020), YearWindow(2021, 2030)),
+        ]
+        for pub, cite in windows:
+            counts = [
+                citations_in_window(p, cite) for p in corpus.papers if p.pub_year in pub
+            ]
+            assert windowed_h(corpus, pub, cite).h == brute_force_h(counts)
 
 
 class TestTimedH:
@@ -318,6 +340,20 @@ class TestContemporaryH:
         assert value.h_interp == (Fraction(4) + 2 * (4 - Fraction(12, 5))) / (
             1 + 4 - Fraction(12, 5)
         )
+
+    def test_non_exact_inputs_rejected(self, toy_corpus):
+        for gamma, delta in ((4, Fraction(1, 2)), (4, 0.5), (-1, 1), (Fraction(-1, 2), 0)):
+            with pytest.raises(InvalidRangeError):
+                contemporary_h(toy_corpus, 2005, gamma=gamma, delta=delta)
+
+    @given(small_corpora(), st.integers(-2, 12))
+    @settings(max_examples=80)
+    def test_undiscounted_equals_career_window(self, corpus, y_offset):
+        y = corpus.y0 + y_offset
+        career = YearWindow.through(y)
+        assert contemporary_h(
+            corpus, y, gamma=1, delta=0, interpolated=True
+        ) == windowed_h(corpus, career, career, interpolated=True)
 
 
 class TestIndexValue:

@@ -1,7 +1,7 @@
 """Wire formats: CSV pair and JSON array, with round-trip guarantees."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citewindow import (
@@ -21,6 +21,7 @@ from citewindow import (
     parse_corpus_json,
     validate_corpus,
 )
+from citewindow.tables import OutputTable
 
 PAPERS_CSV = b"paper_id,pub_year,title\nP1,2000,\nP2,2001,\n"
 CITATIONS_CSV = (
@@ -125,6 +126,12 @@ class TestParseCsv:
         with pytest.raises(ParseError):
             parse_corpus_csv(b"\xff\xfe1234", CITATIONS_CSV)
 
+    def test_malformed_csv_is_located(self):
+        papers = b"paper_id,pub_year,title\nP1,2000,ok\nP2,2001,a\rb\n"
+        with pytest.raises(ParseError) as exc:
+            parse_corpus_csv(papers, b"paper_id,year,count\n")
+        assert exc.value.locator == "papers line 3"
+
 
 class TestParseJson:
     def test_single_paper(self):
@@ -216,6 +223,8 @@ class TestExport:
         assert doc.index('"citations"') < doc.index('"id"') < doc.index('"pub_year"')
 
     @given(wire_corpora())
+    @example(validate_corpus([PaperRecord("P", 2000, title="\r")]))
+    @example(validate_corpus([PaperRecord("P", 2000, title="a\rb")]))
     @settings(max_examples=120)
     def test_round_trip_both_formats(self, corpus):
         papers, citations = export_corpus_csv(corpus)
@@ -229,6 +238,12 @@ class TestExport:
         clone = validate_corpus(list(corpus.papers))
         assert export_corpus_csv(corpus) == export_corpus_csv(clone)
         assert export_corpus_json(corpus) == export_corpus_json(clone)
+
+    def test_carriage_return_fields_are_quoted(self):
+        corpus = validate_corpus([PaperRecord("P", 2000, title="a\rb")])
+        assert export_corpus_csv(corpus)[0] == b'paper_id,pub_year,title\nP,2000,"a\rb"\n'
+        table = OutputTable(("x", "y"), (("\r", "plain"),))
+        assert table.to_csv() == 'x,y\n"\r",plain\n'
 
     def test_canonicalizes_parsed_input(self):
         # Unsorted rows parse fine; export re-emits them canonically.
