@@ -8,12 +8,15 @@ exact rationals; any decimal rendering happens at the output layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .errors import EmptyCorpusError, ZeroCitationsError
-from .model import Corpus, PaperRecord, YearWindow, citations_in_window, cumulative_series
+import numpy as np
+
+from .errors import EmptyCorpusError, RefYearBeforePublicationError, ZeroCitationsError
+from .model import Corpus, PaperRecord, _segment_sums
 from .rational import as_fraction
 
 __all__ = [
@@ -71,6 +74,17 @@ class GroupPartition:
         return len(self.groups)
 
 
+def _ranking(corpus: Corpus, ref_year: int) -> tuple[np.ndarray, np.ndarray]:
+    """Paper indices, most cited up to ``ref_year`` first, and their totals.
+
+    The store is in id order and the sort is stable, so equal totals keep
+    ascending id order.
+    """
+    totals = corpus._totals(ref_year)
+    order = np.argsort(-totals, kind="stable")
+    return order, totals[order]
+
+
 def rank_papers_by_total(
     corpus: Corpus, ref_year: int | None = None
 ) -> list[tuple[PaperRecord, int]]:
@@ -81,9 +95,57 @@ def rank_papers_by_total(
     """
     if ref_year is None:
         ref_year = corpus.y_end
-    pairs = [(p, p.total_citations(ref_year)) for p in corpus.papers]
-    pairs.sort(key=lambda pair: (-pair[1], pair[0].id))
-    return pairs
+    order, totals = _ranking(corpus, ref_year)
+    papers = corpus.papers
+    return [(papers[i], total) for i, total in zip(order.tolist(), totals.tolist())]
+
+
+def _checked_quantiles(quantiles) -> list[Fraction]:
+    checked = []
+    for raw_q in quantiles:
+        q = as_fraction(raw_q)
+        if not 0 < q <= 1:
+            raise ValueError(f"quantiles must lie in (0, 1], got {raw_q!r}")
+        checked.append(q)
+    return checked
+
+
+def _ceil_share(totals: np.ndarray, q: Fraction) -> np.ndarray:
+    """ceil(q * total) for every total, exactly.
+
+    The result never exceeds the total, but ``numerator * total`` may pass
+    int64 (a long decimal quantile on a large total); then the product is
+    taken in Python integers.
+    """
+    if totals.size and q.numerator * int(totals.max()) > np.iinfo(np.int64).max:
+        totals = totals.astype(object)
+    return (-(-totals * q.numerator // q.denominator)).astype(np.int64)
+
+
+def _quantile_windows(corpus: Corpus, ref_year: int, quantiles) -> np.ndarray:
+    """Per paper and quantile, the smallest window reaching that share.
+
+    Column k holds each paper's t for ``quantiles[k]``: the age of its
+    first citation row whose running count reaches q times its total up
+    to ``ref_year``, which is where its cumulative series first reaches
+    that share.  Rows of papers without citations up to ``ref_year`` are
+    meaningless.
+    """
+    years, offsets, row_paper = corpus._years, corpus._offsets, corpus._row_paper
+    running = np.zeros(years.size + 1, dtype=np.int64)
+    np.cumsum(np.where(years <= ref_year, corpus._counts, 0), out=running[1:])
+    base = running[offsets[:-1]]
+    totals = running[offsets[1:]] - base
+    # Running count per paper; past ref_year it stays at the total.
+    reached = running[1:] - base[row_paper]
+    windows = np.zeros((len(corpus), len(quantiles)), dtype=np.int64)
+    if not years.size:
+        return windows
+    for k, q in enumerate(quantiles):
+        short = reached < _ceil_share(totals, q)[row_paper]
+        first = offsets[:-1] + _segment_sums(short, offsets)
+        windows[:, k] = years.take(first, mode="clip") - corpus._pub_year
+    return windows
 
 
 def quantile_windows(
@@ -97,22 +159,18 @@ def quantile_windows(
     always attainable.  Papers without citations have no quantiles and
     raise :class:`ZeroCitationsError`.
     """
-    series = cumulative_series(paper, ref_year)
-    total = series[-1]
+    if ref_year < paper.pub_year:
+        raise RefYearBeforePublicationError(paper.id, ref_year, paper.pub_year)
+    total = paper.total_citations(ref_year)
     if total == 0:
         raise ZeroCitationsError(f"paper {paper.id!r} has no citations up to {ref_year}")
-    t_q: dict[Fraction, int] = {}
-    for raw_q in quantiles:
-        q = as_fraction(raw_q)
-        if not 0 < q <= 1:
-            raise ValueError(f"quantiles must lie in (0, 1], got {raw_q!r}")
-        threshold = q * total
-        t_q[q] = next(t for t, value in enumerate(series) if value >= threshold)
+    checked = _checked_quantiles(quantiles)
+    windows = _quantile_windows(Corpus([paper]), ref_year, checked)
     return QuantileWindows(
         paper_id=paper.id,
         age=ref_year - paper.pub_year,
         total=total,
-        t_q=t_q,
+        t_q=dict(zip(checked, windows[0].tolist())),
     )
 
 
@@ -128,10 +186,9 @@ def recently_cited_count(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     corpus._require_papers()
-    recent = YearWindow(corpus.y_end - k + 1, corpus.y_end)
-    eligible = [p for p in corpus.papers if p.total_citations() >= min_citations]
-    count = sum(1 for p in eligible if citations_in_window(p, recent) > 0)
-    return count, len(eligible)
+    eligible = corpus._totals() >= min_citations
+    recent = _segment_sums(corpus._years > corpus.y_end - k, corpus._offsets) > 0
+    return int(np.count_nonzero(eligible & recent)), int(np.count_nonzero(eligible))
 
 
 def partition_by_mass(
@@ -152,31 +209,30 @@ def partition_by_mass(
         raise ValueError(f"target_fraction must lie in (0, 1], got {target_fraction!r}")
     if ref_year is None:
         ref_year = corpus.y_end
-    ranked = rank_papers_by_total(corpus, ref_year)
-    total = sum(t for _, t in ranked)
+    order, totals = _ranking(corpus, ref_year)
+    running = np.cumsum(totals)
+    total = int(running[-1])
     if total == 0:
         raise ZeroCitationsError("cannot partition a corpus without citations")
-    threshold = target * total
+    # Integer masses reach target * total exactly when they reach its ceiling.
+    need = math.ceil(target * total)
 
     groups: list[CitationGroup] = []
-    ids: list[str] = []
-    mass = 0
-    rank_from = 1
-    for rank, (paper, paper_total) in enumerate(ranked, start=1):
-        ids.append(paper.id)
-        mass += paper_total
-        last = rank == len(ranked)
-        if mass >= threshold or last:
-            groups.append(
-                CitationGroup(
-                    index=len(groups) + 1,
-                    rank_from=rank_from,
-                    rank_to=rank,
-                    paper_ids=tuple(ids),
-                    mass=mass,
-                )
+    ids = corpus._ids
+    start, before = 0, 0
+    while start < order.size:
+        end = min(int(np.searchsorted(running, before + need)) + 1, order.size)
+        reached = int(running[end - 1])
+        groups.append(
+            CitationGroup(
+                index=len(groups) + 1,
+                rank_from=start + 1,
+                rank_to=end,
+                paper_ids=tuple(ids[i] for i in order[start:end].tolist()),
+                mass=reached - before,
             )
-            ids, mass, rank_from = [], 0, rank + 1
+        )
+        start, before = end, reached
     return GroupPartition(
         groups=tuple(groups),
         target_fraction=target,
@@ -210,17 +266,18 @@ def group_yearly_counts(corpus: Corpus, partition: GroupPartition) -> list[list[
     counts of a group sum to its mass.  Year 0 covers only the months
     after publication, so it is usually not a full year.
     """
-    result: list[list[int]] = []
-    for group in partition.groups:
-        counts: list[int] = []
-        for pid in group.paper_ids:
-            paper = corpus.by_id[pid]
-            for year, count in paper.citations:  # sorted by year
-                if year > partition.ref_year:
-                    break
-                age = year - paper.pub_year
-                if age >= len(counts):
-                    counts += [0] * (age + 1 - len(counts))
-                counts[age] += count
-        result.append(counts)
+    index = {paper_id: i for i, paper_id in enumerate(corpus._ids)}
+    group_of = np.full(len(corpus), -1, dtype=np.int64)
+    for g, group in enumerate(partition.groups):
+        group_of[[index[paper_id] for paper_id in group.paper_ids]] = g
+    row_paper = corpus._row_paper
+    rows = (corpus._years <= partition.ref_year) & (group_of[row_paper] >= 0)
+    ages = corpus._years[rows] - corpus._pub_year[row_paper[rows]]
+    width = int(ages.max()) + 1 if ages.size else 0
+    table = np.zeros((len(partition.groups), width), dtype=np.int64)
+    np.add.at(table, (group_of[row_paper[rows]], ages), corpus._counts[rows])
+    result = []
+    for counts in table:
+        cited = np.flatnonzero(counts)
+        result.append(counts[: cited[-1] + 1].tolist() if cited.size else [])
     return result

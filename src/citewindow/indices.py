@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidRangeError, NoPapersInWindowError
-from .model import Corpus, RankedCitations, YearWindow, citations_in_window
+from .model import Corpus, RankedCitations, YearWindow
 from .rational import as_fraction
 
 __all__ = [
@@ -142,8 +142,8 @@ def _as_ranked(c) -> RankedCitations:
 def _h_index(ordered, interpolated: bool) -> tuple[int, Fraction | None]:
     """h of a non-increasing sequence and, when asked, its interpolation.
 
-    ``ordered`` is a numpy int64 array or a sequence of ints or Fractions.
-    The predicate c(i) >= i holds for a prefix of the ranks, so a bisection
+    ``ordered`` is a numpy array or a sequence of ints or Fractions.  The
+    predicate c(i) >= i holds for a prefix of the ranks, so a bisection
     finds h; see :func:`interpolate_h` for the interpolated value.
     """
     # Python ints from numpy: Fraction(np.int64) would keep a numpy
@@ -154,10 +154,12 @@ def _h_index(ordered, interpolated: bool) -> tuple[int, Fraction | None]:
         return h, None
     if h == 0:
         return 0, Fraction(0)
-    c_h = Fraction(at(h - 1))
-    c_h1 = Fraction(at(h)) if h < len(ordered) else Fraction(0)
-    # Fixed point of the line through (h, c(h)) and (h + 1, c(h + 1)).
-    return h, (c_h + h * (c_h - c_h1)) / (1 + c_h - c_h1)
+    return h, _crossing(h, Fraction(at(h - 1)), Fraction(at(h)) if h < len(ordered) else Fraction(0))
+
+
+def _crossing(h: int, c_h: Fraction, c_h1: Fraction) -> Fraction:
+    """Fixed point of the line through (h, c(h)) and (h + 1, c(h + 1))."""
+    return (c_h + h * (c_h - c_h1)) / (1 + c_h - c_h1)
 
 
 def h_from_ranked(c: RankedCitations | Sequence) -> int:
@@ -277,15 +279,53 @@ def author_impact_factor(corpus: Corpus, y: int, delta_t: int = 5) -> AifValue:
     ``delta_t`` years, divided by the number of those papers."""
     if delta_t < 1:
         raise InvalidRangeError(f"publication window must span >= 1 year, got {delta_t}")
-    pub_window = YearWindow(y - delta_t, y - 1)
-    focal = YearWindow(y, y)
-    selected = [p for p in corpus.papers if p.pub_year in pub_window]
-    if not selected:
+    pub_year = corpus._pub_year
+    selected = (pub_year >= y - delta_t) & (pub_year <= y - 1)
+    papers = int(np.count_nonzero(selected))
+    if not papers:
         raise NoPapersInWindowError(
             f"no papers published in [{y - delta_t}, {y - 1}]"
         )
-    numerator = sum(citations_in_window(p, focal) for p in selected)
-    return AifValue(numerator, len(selected))
+    focal = selected[corpus._row_paper] & (corpus._years == y)
+    return AifValue(int(corpus._counts[focal].sum()), papers)
+
+
+def _score_terms(totals: np.ndarray, ages: np.ndarray, gamma: Fraction, delta: int):
+    """Numerators and denominators of the scores gamma * ages**-delta * totals.
+
+    They are int64 when every term fits, and Python integers otherwise
+    (a large |delta| on old papers), so each score stays exact.
+    """
+    power = abs(delta)
+    largest_power = int(ages.max()) ** power if ages.size else 1
+    largest_total = int(totals.max()) if totals.size else 0
+    if delta >= 0:
+        largest = max(gamma.numerator * largest_total, gamma.denominator * largest_power)
+    else:
+        largest = max(gamma.numerator * largest_total * largest_power, gamma.denominator)
+    if largest > np.iinfo(np.int64).max:
+        totals, ages = totals.astype(object), ages.astype(object)
+    powers = ages**power
+    if delta >= 0:
+        return totals * gamma.numerator, powers * gamma.denominator
+    return totals * powers * gamma.numerator, np.full_like(totals, gamma.denominator)
+
+
+def _kth_largest(num: np.ndarray, den: np.ndarray, whole: np.ndarray, k: int) -> Fraction:
+    """Exactly the k-th largest of the scores num / den; 0 past the end.
+
+    The integer parts ``whole`` order the scores up to ties, so Fractions
+    are built only for the positive scores that share the k-th one's.
+    """
+    if k > num.size:
+        return Fraction(0)
+    part = np.partition(whole, whole.size - k)[whole.size - k]
+    above = int(np.count_nonzero(whole > part))
+    tied = np.flatnonzero((whole == part) & (num > 0))
+    if k - above > tied.size:
+        return Fraction(0)
+    scores = sorted((Fraction(int(num[i]), int(den[i])) for i in tied), reverse=True)
+    return scores[k - above - 1]
 
 
 def contemporary_h(
@@ -308,12 +348,16 @@ def contemporary_h(
         raise InvalidRangeError(f"gamma must be non-negative, got {gamma}")
     if delta.denominator != 1:
         raise InvalidRangeError(f"delta must be an integer, got {delta}")
-    scores = []
-    for paper in corpus.papers:
-        if paper.pub_year > y:
-            continue
-        age = y - paper.pub_year + 1
-        total = paper.total_citations(y)
-        scores.append(gamma * Fraction(age) ** -int(delta) * total)
-    scores.sort(reverse=True)
-    return IndexValue(*_h_index(scores, interpolated))
+    published = corpus._pub_year <= y
+    num, den = _score_terms(
+        corpus._totals(y)[published], y + 1 - corpus._pub_year[published], gamma, int(delta)
+    )
+    whole = num // den
+    # A score reaches an integer k exactly when its integer part does.
+    h, _ = _h_index(np.sort(whole)[::-1], False)
+    if not interpolated:
+        return IndexValue(h)
+    if h == 0:
+        return IndexValue(0, Fraction(0))
+    c_h, c_h1 = (_kth_largest(num, den, whole, k) for k in (h, h + 1))
+    return IndexValue(h, _crossing(h, c_h, c_h1))

@@ -13,6 +13,12 @@ JSON corpus = one array::
 
     [{"id": "P1", "pub_year": 2000, "citations": {"2000": 1}}, ...]
 
+Years, publication and citation alike, must lie in 1000..9999 and counts
+in 1..2**31 - 1 (2 147 483 647), written as plain ASCII digits: no
+spaces, underscores or digits of other scripts.  Anything else fails
+with a located error.  The bounds keep every citation sum inside int64,
+and four-digit year keys sort as their numbers do.
+
 Raw exports from bibliographic databases are not parsed here; convert
 them to one of these two layouts first (see the README recipe).
 """
@@ -22,17 +28,22 @@ from __future__ import annotations
 import csv
 import io
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
+
+import numpy as np
 
 from .errors import (
     DuplicateIdError,
     DuplicateYearRowError,
+    IngestError,
     MalformedHeaderError,
     ParseError,
     SchemaError,
     UnknownPaperIdError,
 )
-from .model import Corpus, PaperRecord, validate_corpus
+from .model import _MAX_COUNT, _YEAR_MAX, _YEAR_MIN, Corpus, _corpus_from_rows, _first_duplicate
 
 __all__ = [
     "IngestOptions",
@@ -72,21 +83,58 @@ def _decode(stream, what: str) -> str:
         raise ParseError(f"{what} data is not valid UTF-8: {exc}", f"{what} stream") from None
 
 
-def _parse_int(cell: str, what: str, locator: str) -> int:
-    try:
-        return int(cell)
-    except ValueError:
-        raise ParseError(f"{what} must be an integer, got {cell!r}", locator) from None
+def _bounded_int(text: str, lo: int, hi: int) -> int:
+    """``text`` as an integer in lo..hi: an optional '-', then ASCII digits only.
+
+    ``int`` alone would also take surrounding spaces, underscores and
+    non-ASCII digits.
+    """
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("must be an integer")
+    if len(digits) > 10 or not lo <= int(text) <= hi:
+        raise ValueError(f"must lie in {lo}..{hi}")
+    return int(text)
 
 
-def _csv_rows(text: str, what: str):
-    """(locator, row) pairs of a CSV text; malformed CSV becomes a located ParseError."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        for row in reader:
-            yield f"{what} line {reader.line_num}", row
-    except csv.Error as exc:
-        raise ParseError(f"malformed CSV: {exc}", f"{what} line {reader.line_num}") from None
+class _IntCells(dict):
+    """Cell text -> value, for a column whose texts repeat (years, counts).
+
+    A repeated text costs one lookup, and every row refers to one shared
+    int instead of holding its own cell string or int.
+    """
+
+    def __init__(self, what: str, lo: int, hi: int, error=ParseError):
+        super().__init__()
+        self.what, self.lo, self.hi, self.error = what, lo, hi, error
+
+    def parse(self, cell: str, locate) -> int:
+        """The value of a text not seen before; a bad one raises ``error`` at ``locate()``."""
+        try:
+            value = self[cell] = _bounded_int(cell, self.lo, self.hi)
+        except ValueError as exc:
+            raise self.error(f"{self.what} {exc}, got {cell!r}", locate()) from None
+        return value
+
+
+class _CsvRows:
+    """Rows of a CSV text; :meth:`locator` names the line of the last row read.
+
+    Malformed CSV becomes a located ParseError.
+    """
+
+    def __init__(self, text: str, what: str):
+        self._reader = csv.reader(io.StringIO(text))
+        self._what = what
+
+    def __iter__(self):
+        try:
+            yield from self._reader
+        except csv.Error as exc:
+            raise ParseError(f"malformed CSV: {exc}", self.locator()) from None
+
+    def locator(self) -> str:
+        return f"{self._what} line {self._reader.line_num}"
 
 
 def _csv_text(header, rows) -> str:
@@ -106,78 +154,104 @@ def _csv_text(header, rows) -> str:
     return '"'.join(parts)
 
 
-def _clamp_years(pub_year: int, yearly: dict[int, int]) -> dict[int, int]:
-    clamped: dict[int, int] = {}
-    for year, count in yearly.items():
-        year = max(year, pub_year)
-        clamped[year] = clamped.get(year, 0) + count
-    return clamped
+@contextmanager
+def _repeats_first(row_paper: list[int], years: list[int], duplicate_error):
+    """Repeated (paper, year) rows are found once all rows are read, so a
+    parse error below such a repeat yields to it: the repeat comes first."""
+    try:
+        yield
+    except IngestError:
+        keys = np.array(row_paper, dtype=np.int64) << 14 | np.array(years, dtype=np.int64)
+        row = _first_duplicate(keys, np.argsort(keys, kind="stable"))
+        if row is None:
+            raise
+        raise duplicate_error(row) from None
 
 
 def parse_corpus_csv(papers_file, citations_file, opts: IngestOptions | None = None) -> Corpus:
     """Parse the papers/citations CSV pair into a validated corpus.
 
     Accepts bytes or binary streams.  Every failure names the offending
-    line.  The title column may be omitted entirely; exports always
-    write it.
+    line, the first one in the files.  The title column may be omitted
+    entirely; exports always write it.  Years must lie in 1000..9999 and
+    counts in 1..2**31 - 1, written as plain ASCII digits.
     """
     opts = opts or IngestOptions()
 
-    papers_rows = _csv_rows(_decode(papers_file, "papers"), "papers")
-    _, header = next(papers_rows, (None, None))
+    papers = _CsvRows(_decode(papers_file, "papers"), "papers")
+    rows = iter(papers)
+    header = next(rows, None)
     if header is None or tuple(header) not in (PAPERS_HEADER, PAPERS_HEADER[:2]):
         raise MalformedHeaderError(
             f"papers header must be {','.join(PAPERS_HEADER)}", "papers line 1"
         )
     width = len(header)
-    order: list[str] = []
-    pub_years: dict[str, int] = {}
-    titles: dict[str, str | None] = {}
-    for locator, row in papers_rows:
+    index: dict[str, int] = {}
+    pub_years: list[int] = []
+    titles: list[str | None] = []
+    pub_cells = _IntCells("pub_year", _YEAR_MIN, _YEAR_MAX)
+    for row in rows:
         if not row:
             continue
         if len(row) != width:
-            raise ParseError(f"expected {width} fields, got {len(row)}", locator)
+            raise ParseError(f"expected {width} fields, got {len(row)}", papers.locator())
         paper_id = row[0]
         if not paper_id:
-            raise ParseError("paper_id must be non-empty", locator)
-        if paper_id in pub_years:
-            raise DuplicateIdError(paper_id, locator)
-        pub_years[paper_id] = _parse_int(row[1], "pub_year", locator)
-        titles[paper_id] = row[2] if width == 3 and row[2] else None
-        order.append(paper_id)
+            raise ParseError("paper_id must be non-empty", papers.locator())
+        if paper_id in index:
+            raise DuplicateIdError(paper_id, papers.locator())
+        pub_years.append(pub_cells.get(row[1]) or pub_cells.parse(row[1], papers.locator))
+        titles.append(row[2] if width == 3 and row[2] else None)
+        index[paper_id] = len(index)
+    ids = list(index)
 
-    citations_rows = _csv_rows(_decode(citations_file, "citations"), "citations")
-    _, header = next(citations_rows, (None, None))
+    citations_text = _decode(citations_file, "citations")
+    citations = _CsvRows(citations_text, "citations")
+    rows = iter(citations)
+    header = next(rows, None)
     if header is None or tuple(header) != CITATIONS_HEADER:
         raise MalformedHeaderError(
             f"citations header must be {','.join(CITATIONS_HEADER)}", "citations line 1"
         )
-    yearly: dict[str, dict[int, int]] = {paper_id: {} for paper_id in order}
-    for locator, row in citations_rows:
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ParseError(f"expected 3 fields, got {len(row)}", locator)
-        paper_id = row[0]
-        if paper_id not in yearly:
-            raise UnknownPaperIdError(paper_id, locator)
-        year = _parse_int(row[1], "year", locator)
-        count = _parse_int(row[2], "count", locator)
-        if count < 1:
-            raise ParseError(f"count must be >= 1, got {count}", locator)
-        if year in yearly[paper_id]:
-            raise DuplicateYearRowError(paper_id, year, locator)
-        yearly[paper_id][year] = count
+    row_paper: list[int] = []
+    years: list[int] = []
+    counts: list[int] = []
+    year_cells = _IntCells("year", _YEAR_MIN, _YEAR_MAX)
+    count_cells = _IntCells("count", 1, _MAX_COUNT)
 
-    return _assemble(order, pub_years, titles, yearly, opts)
+    def duplicate_error(row: int) -> DuplicateYearRowError:
+        again = _CsvRows(citations_text, "citations")
+        lines = (again.locator() for fields in again if fields)
+        locator = next(islice(lines, row + 1, None))  # the header is row 0
+        return DuplicateYearRowError(ids[row_paper[row]], years[row], locator)
+
+    with _repeats_first(row_paper, years, duplicate_error):
+        for row in rows:
+            if not row:
+                continue
+            if len(row) != 3:
+                raise ParseError(f"expected 3 fields, got {len(row)}", citations.locator())
+            paper = index.get(row[0])
+            if paper is None:
+                raise UnknownPaperIdError(row[0], citations.locator())
+            year = year_cells.get(row[1]) or year_cells.parse(row[1], citations.locator)
+            count = count_cells.get(row[2]) or count_cells.parse(row[2], citations.locator)
+            row_paper.append(paper)
+            years.append(year)
+            counts.append(count)
+
+    return _corpus_from_rows(
+        ids, pub_years, titles, row_paper, years, counts, opts.lenient_clamp, duplicate_error
+    )
 
 
 def parse_corpus_json(stream, opts: IngestOptions | None = None) -> Corpus:
     """Parse the JSON array format into a validated corpus.
 
     Schema violations raise :class:`SchemaError` with a JSON-path
-    locator; zero citation counts are violations (absent means zero).
+    locator, the first one in the document; zero citation counts are
+    violations (absent means zero).  Years must lie in 1000..9999, with
+    year keys written as plain ASCII digits, and counts in 1..2**31 - 1.
     """
     opts = opts or IngestOptions()
     text = _decode(stream, "corpus")
@@ -188,72 +262,70 @@ def parse_corpus_json(stream, opts: IngestOptions | None = None) -> Corpus:
     if not isinstance(data, list):
         raise SchemaError("top level must be an array of paper objects", "$")
 
-    order: list[str] = []
-    pub_years: dict[str, int] = {}
-    titles: dict[str, str | None] = {}
-    yearly: dict[str, dict[int, int]] = {}
-    for i, obj in enumerate(data):
-        path = f"$[{i}]"
-        if not isinstance(obj, dict):
-            raise SchemaError("paper entry must be an object", path)
-        unknown = set(obj) - {"id", "pub_year", "title", "citations"}
-        if unknown:
-            raise SchemaError(f"unknown keys {sorted(unknown)}", path)
-        for key in ("id", "pub_year", "citations"):
-            if key not in obj:
-                raise SchemaError(f"missing required key {key!r}", path)
-        paper_id = obj["id"]
-        if not isinstance(paper_id, str) or not paper_id:
-            raise SchemaError("id must be a non-empty string", f"{path}.id")
-        if paper_id in pub_years:
-            raise DuplicateIdError(paper_id, f"{path}.id")
-        if type(obj["pub_year"]) is not int:
-            raise SchemaError("pub_year must be an integer", f"{path}.pub_year")
-        title = obj.get("title")
-        if title is not None and not isinstance(title, str):
-            raise SchemaError("title must be a string or null", f"{path}.title")
-        citations = obj["citations"]
-        if not isinstance(citations, dict):
-            raise SchemaError("citations must be an object", f"{path}.citations")
-        counts: dict[int, int] = {}
-        for key, value in citations.items():
-            cite_path = f"{path}.citations.{key}"
-            try:
-                year = int(key)
-            except ValueError:
-                raise SchemaError("citation keys must be year strings", cite_path) from None
-            if type(value) is not int:
-                raise SchemaError("citation counts must be integers", cite_path)
-            if value == 0:
-                raise SchemaError("zero counts must be omitted", cite_path)
-            if value < 0:
-                raise SchemaError("citation counts must be positive", cite_path)
-            if year in counts:
-                raise SchemaError("duplicate citation year", cite_path)
-            counts[year] = value
-        order.append(paper_id)
-        pub_years[paper_id] = obj["pub_year"]
-        titles[paper_id] = title
-        yearly[paper_id] = counts
+    index: dict[str, int] = {}
+    pub_years: list[int] = []
+    titles: list[str | None] = []
+    row_paper: list[int] = []
+    years: list[int] = []
+    counts: list[int] = []
+    year_keys = _IntCells("citation year keys", _YEAR_MIN, _YEAR_MAX, SchemaError)
 
-    return _assemble(order, pub_years, titles, yearly, opts)
+    def duplicate_error(row: int) -> SchemaError:
+        paper = row_paper[row]
+        key = list(data[paper]["citations"])[row - row_paper.index(paper)]
+        return SchemaError("duplicate citation year", f"$[{paper}].citations.{key}")
+
+    with _repeats_first(row_paper, years, duplicate_error):
+        for i, obj in enumerate(data):
+            path = f"$[{i}]"
+            if not isinstance(obj, dict):
+                raise SchemaError("paper entry must be an object", path)
+            unknown = set(obj) - {"id", "pub_year", "title", "citations"}
+            if unknown:
+                raise SchemaError(f"unknown keys {sorted(unknown)}", path)
+            for key in ("id", "pub_year", "citations"):
+                if key not in obj:
+                    raise SchemaError(f"missing required key {key!r}", path)
+            paper_id = obj["id"]
+            if not isinstance(paper_id, str) or not paper_id:
+                raise SchemaError("id must be a non-empty string", f"{path}.id")
+            if paper_id in index:
+                raise DuplicateIdError(paper_id, f"{path}.id")
+            pub_year = obj["pub_year"]
+            if type(pub_year) is not int:
+                raise SchemaError("pub_year must be an integer", f"{path}.pub_year")
+            if not _YEAR_MIN <= pub_year <= _YEAR_MAX:
+                raise SchemaError(f"pub_year must lie in {_YEAR_MIN}..{_YEAR_MAX}", f"{path}.pub_year")
+            title = obj.get("title")
+            if title is not None and not isinstance(title, str):
+                raise SchemaError("title must be a string or null", f"{path}.title")
+            citations = obj["citations"]
+            if not isinstance(citations, dict):
+                raise SchemaError("citations must be an object", f"{path}.citations")
+            for key, value in citations.items():
+                year = year_keys.get(key) or year_keys.parse(key, lambda: f"{path}.citations.{key}")
+                if type(value) is not int or not 0 < value <= _MAX_COUNT:
+                    raise SchemaError(_count_error(value), f"{path}.citations.{key}")
+                row_paper.append(i)
+                years.append(year)
+                counts.append(value)
+            index[paper_id] = i
+            pub_years.append(pub_year)
+            titles.append(title)
+
+    return _corpus_from_rows(
+        list(index), pub_years, titles, row_paper, years, counts, opts.lenient_clamp, duplicate_error
+    )
 
 
-def _assemble(order, pub_years, titles, yearly, opts: IngestOptions) -> Corpus:
-    papers = []
-    for paper_id in order:
-        counts = yearly[paper_id]
-        if opts.lenient_clamp:
-            counts = _clamp_years(pub_years[paper_id], counts)
-        papers.append(
-            PaperRecord(
-                id=paper_id,
-                pub_year=pub_years[paper_id],
-                citations=counts,
-                title=titles[paper_id],
-            )
-        )
-    return validate_corpus(papers)
+def _count_error(value) -> str:
+    if type(value) is not int:
+        return "citation counts must be integers"
+    if value == 0:
+        return "zero counts must be omitted"
+    if value < 0:
+        return "citation counts must be positive"
+    return f"citation counts must be <= {_MAX_COUNT}"
 
 
 def export_corpus_csv(corpus: Corpus) -> tuple[bytes, bytes]:
@@ -262,30 +334,49 @@ def export_corpus_csv(corpus: Corpus) -> tuple[bytes, bytes]:
     Rows are sorted by (paper_id, year) and line endings are LF, so equal
     corpora produce identical bytes on every platform.
     """
+    ids = corpus._ids
     papers = _csv_text(
-        PAPERS_HEADER, ([p.id, p.pub_year, p.title or ""] for p in corpus.papers)
+        PAPERS_HEADER,
+        zip(ids, corpus._pub_year.tolist(), [title or "" for title in corpus._titles]),
     )
     citations = _csv_text(
         CITATIONS_HEADER,
-        ([p.id, year, count] for p in corpus.papers for year, count in p.citations),
+        zip(
+            [ids[i] for i in corpus._row_paper.tolist()],
+            corpus._years.tolist(),
+            corpus._counts.tolist(),
+        ),
     )
     return papers.encode(), citations.encode()
 
 
 def export_corpus_json(corpus: Corpus) -> bytes:
-    """Serialize to the JSON array format, keys sorted, trailing newline."""
+    """Serialize to the JSON array format, keys sorted, trailing newline.
+
+    The bytes are those of ``json.dumps(entries, indent=2, sort_keys=True,
+    ensure_ascii=False)``, written from the store without that call's
+    pure-Python indenting encoder: the layout is fixed, strings go through
+    the same C string encoder, and four-digit year keys sort as their
+    numbers do.
+    """
+    if corpus.is_empty:
+        return b"[]\n"
+    encode = json.encoder.encode_basestring
+    rows = [
+        f'\n      "{year}": {count}'
+        for year, count in zip(corpus._years.tolist(), corpus._counts.tolist())
+    ]
+    bounds = corpus._offsets.tolist()
     entries = []
-    for paper in corpus.papers:
-        entry = {
-            "id": paper.id,
-            "pub_year": paper.pub_year,
-            "citations": {str(year): count for year, count in paper.citations},
-        }
-        if paper.title is not None:
-            entry["title"] = paper.title
-        entries.append(entry)
-    text = json.dumps(entries, indent=2, sort_keys=True, ensure_ascii=False)
-    return (text + "\n").encode()
+    for paper_id, pub_year, a, b, title in zip(
+        corpus._ids, corpus._pub_year.tolist(), bounds, bounds[1:], corpus._titles
+    ):
+        citations = "{" + ",".join(rows[a:b]) + "\n    }" if b > a else "{}"
+        entry = f'  {{\n    "citations": {citations},\n    "id": {encode(paper_id)},\n    "pub_year": {pub_year}'
+        if title is not None:
+            entry += f',\n    "title": {encode(title)}'
+        entries.append(entry + "\n  }")
+    return ("[\n" + ",\n".join(entries) + "\n]\n").encode()
 
 
 def export_corpus(corpus: Corpus, format: str):

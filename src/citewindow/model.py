@@ -1,9 +1,20 @@
 """Core domain types: papers, corpora, year windows, ranked citation vectors.
 
-Citation data is stored sparsely: a paper keeps a (year, count) pair only
-for years in which it was actually cited, and an absent year means zero.
-All types are immutable after construction; a validated :class:`Corpus`
-can be shared freely between threads or workers.
+A :class:`Corpus` is a columnar store.  Papers sit in id order: one id,
+publication year and title each, and paper i's citations are the rows
+``offsets[i]:offsets[i + 1]`` of two flat int64 arrays, ``years`` and
+``counts``, sorted by year.  Citation data is sparse: a row exists only
+for a year with a positive count, and an absent year means zero.  The
+analyses in :mod:`indices` and :mod:`aging` are passes over these arrays.
+
+:class:`PaperRecord` is the one-object-per-paper view.  :func:`validate_corpus`
+accepts records, and ``Corpus.papers`` builds them from the store on
+demand (and keeps them) for callers that want them.  All types are
+immutable after construction; a validated :class:`Corpus` can be shared
+freely between threads or workers.
+
+In a validated corpus, years lie in 1000..9999 and counts in
+1..2**31 - 1, so no per-paper or per-window sum can overflow int64.
 """
 
 from __future__ import annotations
@@ -11,7 +22,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -34,6 +44,9 @@ __all__ = [
     "citations_in_window",
     "cumulative_series",
 ]
+
+_YEAR_MIN, _YEAR_MAX = 1000, 9999
+_MAX_COUNT = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -160,86 +173,164 @@ class RankedCitations:
         return iter(self.values)
 
 
+def _segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Sums of ``values[offsets[i]:offsets[i + 1]]`` for every i, exact in int64."""
+    running = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(values, out=running[1:])
+    return running[offsets[1:]] - running[offsets[:-1]]
+
+
+def _frozen(values) -> np.ndarray:
+    array = np.asarray(values, dtype=np.int64)
+    array.flags.writeable = False
+    return array
+
+
 class _DenseCounts:
     """Per-corpus numpy cache backing the windowed-count kernel.
 
     Rows run over the distinct citation years ``years`` only, so an
-    outlier year adds one row rather than a span of empty ones.
-    ``prefix[j]`` holds, per paper, the citations in ``years[:j]``, so any
-    inclusive year window reduces to one row subtraction.  Built lazily,
-    once per corpus.
+    outlier year adds one row rather than a span of empty ones.  Columns
+    run over the papers in publication-year order, so a publication
+    window is a column slice.  ``prefix[j]`` holds, per paper, the
+    citations in ``years[:j]``, so any inclusive year window reduces to
+    one row subtraction.  Built lazily, once per corpus.
     """
 
     def __init__(self, corpus: "Corpus"):
-        papers = corpus.papers
-        # One (year, count) row per citation entry, paper after paper.
-        pairs = np.fromiter(
-            chain.from_iterable(chain.from_iterable(p.citations for p in papers)), dtype=np.int64
-        ).reshape(-1, 2)
-        years, rows = np.unique(pairs[:, 0], return_inverse=True)
-        columns = np.repeat(np.arange(len(papers)), [len(p.citations) for p in papers])
-        self.prefix = np.zeros((years.size + 1, len(papers)), dtype=np.int64)
-        self.prefix[rows + 1, columns] = pairs[:, 1]
+        order = np.argsort(corpus._pub_year, kind="stable")
+        column = np.empty_like(order)
+        column[order] = np.arange(order.size)
+        years, rows = np.unique(corpus._years, return_inverse=True)
+        self.prefix = np.zeros((years.size + 1, order.size), dtype=np.int64)
+        self.prefix[rows + 1, column[corpus._row_paper]] = corpus._counts
         np.cumsum(self.prefix, axis=0, out=self.prefix)
-        # A list, because bisect on it is much cheaper per query than np.searchsorted.
+        # Lists, because bisect on them is much cheaper per query than np.searchsorted.
         self.years = years.tolist()
-        self.pub_years = np.array([p.pub_year for p in papers], dtype=np.int64)
+        self.pub_years = corpus._pub_year[order].tolist()
 
     def window_counts(self, pub_window: YearWindow, cite_window: YearWindow) -> np.ndarray:
         """In-window citation counts of the papers published in ``pub_window``."""
-        mask = self.pub_years <= pub_window.end
-        if pub_window.start is not None:
-            mask &= self.pub_years >= pub_window.start
+        first = 0 if pub_window.start is None else bisect_left(self.pub_years, pub_window.start)
+        last = bisect_right(self.pub_years, pub_window.end)
         lo = 0 if cite_window.start is None else bisect_left(self.years, cite_window.start)
         hi = bisect_right(self.years, cite_window.end)
-        return (self.prefix[hi] - self.prefix[lo])[mask]
+        return self.prefix[hi, first:last] - self.prefix[lo, first:last]
 
 
-@dataclass(frozen=True)
 class Corpus:
     """A validated, immutable collection of papers keyed by id.
 
-    Use :func:`validate_corpus` to build one; the constructor trusts its
-    input.  ``y0`` is the first publication year and ``y_end`` the last
-    year with any activity (publication or citation).
+    Use :func:`validate_corpus` or a parser to build one; the constructor
+    trusts its input records.  ``y0`` is the first publication year and
+    ``y_end`` the last year with any activity (publication or citation).
+    Iterating a corpus, ``papers`` and ``by_id`` give :class:`PaperRecord`
+    views in id order, built on first use.
     """
 
-    papers: tuple[PaperRecord, ...] = ()
+    def __init__(self, papers: Iterable[PaperRecord] = ()):
+        records = tuple(sorted(papers, key=lambda p: p.id))
+        pairs = [pair for p in records for pair in p.citations]
+        self._set_columns(
+            tuple(p.id for p in records),
+            [p.pub_year for p in records],
+            np.cumsum([0] + [len(p.citations) for p in records]),
+            [year for year, _ in pairs],
+            [count for _, count in pairs],
+            tuple(p.title for p in records),
+        )
+        self.__dict__["papers"] = records
+
+    @classmethod
+    def _from_columns(cls, ids, pub_year, offsets, years, counts, titles) -> "Corpus":
+        """A corpus over columns already in id order, rows sorted by (paper, year)."""
+        corpus = cls.__new__(cls)
+        corpus._set_columns(ids, pub_year, offsets, years, counts, titles)
+        return corpus
+
+    def _set_columns(self, ids, pub_year, offsets, years, counts, titles) -> None:
+        self._ids = tuple(ids)
+        self._pub_year = _frozen(pub_year)
+        self._offsets = _frozen(offsets)
+        self._years = _frozen(years)
+        self._counts = _frozen(counts)
+        self._titles = tuple(titles)
+
+    def _columns(self) -> tuple:
+        return (self._ids, self._pub_year, self._offsets, self._years, self._counts, self._titles)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(self._columns(), other._columns())
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._ids, self._counts.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Corpus(papers={self.papers!r})"
 
     def __len__(self) -> int:
-        return len(self.papers)
+        return len(self._ids)
 
     def __iter__(self) -> Iterator[PaperRecord]:
         return iter(self.papers)
 
     @property
     def is_empty(self) -> bool:
-        return not self.papers
+        return not self._ids
 
     def _require_papers(self):
-        if not self.papers:
+        if not self._ids:
             raise EmptyCorpusError("operation needs a non-empty corpus")
+
+    @cached_property
+    def papers(self) -> tuple[PaperRecord, ...]:
+        """One :class:`PaperRecord` per paper, in id order."""
+        years, counts = self._years.tolist(), self._counts.tolist()
+        bounds = self._offsets.tolist()
+        return tuple(
+            PaperRecord(pid, pub, tuple(zip(years[a:b], counts[a:b])), title)
+            for pid, pub, a, b, title in zip(
+                self._ids, self._pub_year.tolist(), bounds, bounds[1:], self._titles
+            )
+        )
 
     @cached_property
     def by_id(self) -> dict[str, PaperRecord]:
         return {p.id: p for p in self.papers}
 
     @cached_property
+    def _row_paper(self) -> np.ndarray:
+        """Paper index of every citation row."""
+        return np.repeat(np.arange(len(self._ids)), np.diff(self._offsets))
+
+    def _totals(self, ref_year: int | None = None) -> np.ndarray:
+        """Per-paper citations up to ``ref_year`` (all years if None), in id order."""
+        counts = self._counts
+        if ref_year is not None:
+            counts = np.where(self._years <= ref_year, counts, 0)
+        return _segment_sums(counts, self._offsets)
+
+    @cached_property
     def y0(self) -> int:
         """First publication year."""
         self._require_papers()
-        return min(p.pub_year for p in self.papers)
+        return int(self._pub_year.min())
 
     @cached_property
     def y_end(self) -> int:
         """Last activity year: max over publication and citation years."""
         self._require_papers()
-        return max(
-            max(p.pub_year, p.last_citation_year() or p.pub_year) for p in self.papers
-        )
+        return int(max(self._pub_year.max(), self._years.max(initial=self._pub_year.max())))
 
     def total_citations(self, ref_year: int | None = None) -> int:
-        return sum(p.total_citations(ref_year) for p in self.papers)
+        if ref_year is None:
+            return int(self._counts.sum())
+        return int(self._counts[self._years <= ref_year].sum())
 
     @cached_property
     def _dense(self) -> _DenseCounts:
@@ -247,28 +338,140 @@ class Corpus:
         return _DenseCounts(self)
 
 
+def _first_duplicate(keys: np.ndarray, order: np.ndarray) -> int | None:
+    """Smallest row index whose key an earlier row already has.
+
+    ``order`` is the stable argsort of ``keys``, so equal keys appear in
+    row order and every later one of a run is a repeat.
+    """
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    return int(repeats.min()) if repeats.size else None
+
+
+def _corpus_from_rows(
+    ids, pub_year, titles, row_paper, years, counts, lenient=False, duplicate_error=None
+) -> Corpus:
+    """Check the columns of parsed or given papers and store them as a :class:`Corpus`.
+
+    Papers come in input (file) order; citation rows come in any order,
+    ``row_paper`` giving each row's paper index.  A repeated (paper, year)
+    row raises ``duplicate_error(row)`` for the first repeat in row order.
+    Otherwise the first violation in paper order, at the paper's earliest
+    bad year, raises: a publication year or citation year outside
+    1000..9999 or a count outside 1..2**31 - 1 (:class:`InvalidRangeError`,
+    :class:`NegativeCountError` for a negative count), or a citation before
+    publication (:class:`CitationBeforePublicationError`).  With
+    ``lenient`` those citations move to the publication year instead and
+    merge with the rows already there.
+    """
+    pub_year = np.asarray(pub_year, dtype=np.int64)
+    row_paper = np.asarray(row_paper, dtype=np.int64)
+    years = np.asarray(years, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    id_order = sorted(range(len(ids)), key=ids.__getitem__)
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[id_order] = np.arange(len(ids))
+    # Callers pass years in 0..2**14 - 1 (out-of-range ones clipped to
+    # just outside the bounds), so rank and year share one key.
+    keys = rank[row_paper] << 14 | years
+    order = np.argsort(keys, kind="stable")
+    if duplicate_error is not None:
+        row = _first_duplicate(keys, order)
+        if row is not None:
+            raise duplicate_error(row)
+
+    published = pub_year[row_paper]
+    bad_paper = (pub_year < _YEAR_MIN) | (pub_year > _YEAR_MAX)
+    bad_row = (counts < 1) | (counts > _MAX_COUNT) | (years < _YEAR_MIN) | (years > _YEAR_MAX)
+    if not lenient:
+        bad_row |= years < published
+    if bad_paper.any() or bad_row.any():
+        _raise_first_violation(ids, pub_year, bad_paper, row_paper, years, counts, bad_row)
+
+    if lenient:
+        years = np.maximum(years, published)
+        keys = rank[row_paper] << 14 | years
+        order = np.argsort(keys, kind="stable")
+        starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+        counts = np.add.reduceat(counts[order], starts) if starts.size else counts[order]
+        order = order[starts]
+    else:
+        counts = counts[order]
+    row_paper = row_paper[order]
+    offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rank[row_paper], minlength=len(ids)), out=offsets[1:])
+    return Corpus._from_columns(
+        [ids[i] for i in id_order],
+        pub_year[id_order],
+        offsets,
+        years[order],
+        counts,
+        [titles[i] for i in id_order],
+    )
+
+
+def _raise_first_violation(ids, pub_year, bad_paper, row_paper, years, counts, bad_row):
+    papers_with_bad_rows = row_paper[bad_row]
+    first = min(
+        int(np.argmax(bad_paper)) if bad_paper.any() else len(ids),
+        int(papers_with_bad_rows.min()) if papers_with_bad_rows.size else len(ids),
+    )
+    paper_id = ids[first]
+    if bad_paper[first]:
+        raise InvalidRangeError(
+            f"paper {paper_id!r} has a publication year outside {_YEAR_MIN}..{_YEAR_MAX}"
+        )
+    rows = np.flatnonzero(bad_row & (row_paper == first))
+    row = int(rows[np.argmin(years[rows])])
+    year, count = int(years[row]), int(counts[row])
+    if count < 0:
+        raise NegativeCountError(paper_id, year)
+    if not 1 <= count <= _MAX_COUNT or not _YEAR_MIN <= year <= _YEAR_MAX:
+        raise InvalidRangeError(
+            f"paper {paper_id!r} has a citation year outside {_YEAR_MIN}..{_YEAR_MAX} "
+            f"or a count above {_MAX_COUNT}"
+        )
+    raise CitationBeforePublicationError(paper_id, year)
+
+
+def _clip(value: int, lo: int, hi: int) -> int:
+    """``value`` moved just outside [lo, hi] when it lies beyond, so it fits int64
+    and still fails the range check."""
+    return lo - 1 if value < lo else hi + 1 if value > hi else value
+
+
 def validate_corpus(papers: Iterable[PaperRecord]) -> Corpus:
     """Check invariants and assemble a :class:`Corpus`.
 
-    Raises :class:`DuplicateIdError`, :class:`NegativeCountError` or
-    :class:`CitationBeforePublicationError` on the first violation.
-    An empty input yields an empty corpus, which parsers and exporters
-    accept but analysis operations reject.
+    Raises :class:`DuplicateIdError`, :class:`NegativeCountError`,
+    :class:`InvalidRangeError` (a year outside 1000..9999 or a count above
+    2**31 - 1) or :class:`CitationBeforePublicationError` on the first
+    violation in input order.  An empty input yields an empty corpus,
+    which parsers and exporters accept but analysis operations reject.
     """
+    records = list(papers)
     seen: set[str] = set()
-    checked = []
-    for paper in papers:
+    for i, paper in enumerate(records):
         if paper.id in seen:
+            # Papers before the repeat may break other rules first.
+            validate_corpus(records[:i])
             raise DuplicateIdError(paper.id)
         seen.add(paper.id)
-        for year, count in paper.citations:
-            if count < 0:
-                raise NegativeCountError(paper.id, year)
-            if year < paper.pub_year:
-                raise CitationBeforePublicationError(paper.id, year)
-        checked.append(paper)
-    checked.sort(key=lambda p: p.id)
-    return Corpus(tuple(checked))
+    rows = [
+        (i, _clip(year, _YEAR_MIN, _YEAR_MAX), _clip(count, -1, _MAX_COUNT))
+        for i, p in enumerate(records)
+        for year, count in p.citations
+    ]
+    corpus = _corpus_from_rows(
+        [p.id for p in records],
+        [_clip(p.pub_year, _YEAR_MIN, _YEAR_MAX) for p in records],
+        [p.title for p in records],
+        [i for i, _, _ in rows],
+        [year for _, year, _ in rows],
+        [count for _, _, count in rows],
+    )
+    corpus.__dict__["papers"] = tuple(sorted(records, key=lambda p: p.id))
+    return corpus
 
 
 def citations_in_window(paper: PaperRecord, window: YearWindow) -> int:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import aging as _aging
 from . import indices as _indices
 from .ingest import _csv_text
-from .model import Corpus, YearWindow, citations_in_window
+from .model import Corpus, _segment_sums
 from .rational import as_fraction, format_fixed
 
 __all__ = [
@@ -107,28 +107,35 @@ def aging_output(
     columns += [f"t{token}" for token in quantile_tokens]
     columns += ["recently_cited"]
 
-    recent_window = YearWindow(ref_year - 1, ref_year)
+    order, totals = _aging._ranking(corpus, ref_year)
+    pub_year = corpus._pub_year[order]
+    kept = (totals >= min_citations) & (pub_year <= ref_year)
+    order, totals, pub_year = order[kept], totals[kept], pub_year[kept]
+    windows = _aging._quantile_windows(corpus, ref_year, _aging._checked_quantiles(quantiles))
+    years = corpus._years
+    recent = _segment_sums((years >= ref_year - 1) & (years <= ref_year), corpus._offsets) > 0
+    ids = corpus._ids
+    no_windows = ["" for _ in quantiles]
     rows = []
-    rank = 0
-    for paper, total in _aging.rank_papers_by_total(corpus, ref_year):
-        if total < min_citations or paper.pub_year > ref_year:
-            continue
-        rank += 1
-        if total > 0:
-            windows = _aging.quantile_windows(paper, quantiles, ref_year)
-            t_cells = [str(windows.t_q[q]) for q in quantiles]
-        else:
-            t_cells = ["" for _ in quantiles]
-        recent = citations_in_window(paper, recent_window) > 0
+    for rank, (i, total, year, t_q, cited) in enumerate(
+        zip(
+            order.tolist(),
+            totals.tolist(),
+            pub_year.tolist(),
+            windows[order].tolist(),
+            recent[order].tolist(),
+        ),
+        start=1,
+    ):
         rows.append(
             (
                 str(rank),
-                paper.id,
-                str(paper.pub_year),
-                str(ref_year - paper.pub_year),
+                ids[i],
+                str(year),
+                str(ref_year - year),
                 str(total),
-                *t_cells,
-                "1" if recent else "0",
+                *([str(t) for t in t_q] if total > 0 else no_windows),
+                "1" if cited else "0",
             )
         )
     return OutputTable(tuple(columns), tuple(rows))

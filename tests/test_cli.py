@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from citewindow import export_corpus_csv, export_corpus_json
+from citewindow import PaperRecord, export_corpus_csv, export_corpus_json, parse_corpus_json
 from citewindow.cli import main
 
 TOY_JSON = """\
@@ -325,3 +325,28 @@ class TestOutputHandling:
         from_json = run(capsys, "evolution", toy_json)
         from_csv = run(capsys, "evolution", *toy_csv)
         assert from_json == from_csv
+
+
+def test_subcommands_build_no_paper_records(capsys, monkeypatch, toy_json, toy_csv):
+    """The command line works on the corpus store alone; records are views for the API."""
+    built = []
+    post_init = PaperRecord.__post_init__
+    monkeypatch.setattr(PaperRecord, "__post_init__", lambda self: built.append(post_init(self)))
+    for data in ([toy_json], list(toy_csv)):
+        for argv in (
+            ["validate", *data, "--lenient"],
+            ["aging", *data, "--min-citations", "0"],
+            ["groups", *data, "--mass-fraction", "0.3"],
+            ["groups", *data, "--mode", "yearly"],
+            ["evolution", *data, "--interpolated"],
+            ["index", *data, "--year", "2005", "--t", "2", "--interpolated"],
+            ["index", *data, "--pub-window", "*:2004", "--cite-window", "2001:2005"],
+            ["index", *data, "--preset", "h5", "--year", "2005"],
+            ["index", *data, "--preset", "aif", "--year", "2005"],
+            ["index", *data, "--preset", "contemporary", "--year", "2005", "--interpolated"],
+        ):
+            assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert built == []
+    parse_corpus_json(TOY_JSON.encode()).papers
+    assert len(built) == 3

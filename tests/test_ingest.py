@@ -1,5 +1,7 @@
 """Wire formats: CSV pair and JSON array, with round-trip guarantees."""
 
+import json
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,12 +16,14 @@ from citewindow import (
     ParseError,
     SchemaError,
     UnknownPaperIdError,
+    YearWindow,
     export_corpus,
     export_corpus_csv,
     export_corpus_json,
     parse_corpus_csv,
     parse_corpus_json,
     validate_corpus,
+    windowed_h,
 )
 from citewindow.tables import OutputTable
 
@@ -253,3 +257,145 @@ class TestExport:
         papers_out, citations_out = export_corpus_csv(corpus)
         assert papers_out == b"paper_id,pub_year,title\nA,2000,\nB,2001,\n"
         assert citations_out == b"paper_id,year,count\nA,2000,1\nA,2003,2\nB,2002,1\n"
+
+
+MAX_COUNT = 2**31 - 1
+
+
+def json_doc(pub_year=2000, citations='{"2001": 1}') -> bytes:
+    return f'[{{"id": "P", "pub_year": {pub_year}, "citations": {citations}}}]'.encode()
+
+
+class TestStrictIntegers:
+    """Years are ASCII digits in 1000..9999, counts ASCII digits in 1..2**31 - 1."""
+
+    BAD_YEARS = [" 2001", "2001 ", "2_001", "٢٠٠١", "２００１", "+2001", "2001.0", "", "999", "10000", "-2001"]
+    BAD_COUNTS = ["0", "-3", "2147483648", "100000000000000000000000", " 3", "1_0", "３", "1e3", "9" * 5000]
+
+    @pytest.mark.parametrize("cell", BAD_YEARS)
+    def test_citation_year_cells(self, cell):
+        with pytest.raises(ParseError) as exc:
+            parse_corpus_csv(PAPERS_CSV, f"paper_id,year,count\nP1,{cell},1\n".encode())
+        assert exc.value.locator == "citations line 2"
+
+    @pytest.mark.parametrize("cell", BAD_YEARS)
+    def test_pub_year_cells(self, cell):
+        with pytest.raises(ParseError) as exc:
+            parse_corpus_csv(f"paper_id,pub_year,title\nP1,{cell},\n".encode(), b"paper_id,year,count\n")
+        assert exc.value.locator == "papers line 2"
+
+    @pytest.mark.parametrize("cell", BAD_COUNTS)
+    def test_count_cells(self, cell):
+        with pytest.raises(ParseError) as exc:
+            parse_corpus_csv(PAPERS_CSV, f"paper_id,year,count\nP1,2001,1\nP1,2002,{cell}\n".encode())
+        assert exc.value.locator == "citations line 3"
+
+    @pytest.mark.parametrize("key", BAD_YEARS)
+    def test_json_year_keys(self, key):
+        with pytest.raises(SchemaError) as exc:
+            parse_corpus_json(json_doc(citations=json.dumps({key: 1})))
+        assert exc.value.locator == f"$[0].citations.{key}"
+
+    @pytest.mark.parametrize("pub_year", [999, 10000, -2000, 10**23])
+    def test_json_pub_year(self, pub_year):
+        with pytest.raises(SchemaError) as exc:
+            parse_corpus_json(json_doc(pub_year=pub_year))
+        assert exc.value.locator == "$[0].pub_year"
+
+    @pytest.mark.parametrize("count", [2**31, 10**23, 1.0, True])
+    def test_json_counts(self, count):
+        with pytest.raises(SchemaError) as exc:
+            parse_corpus_json(json_doc(citations=json.dumps({"2001": count})))
+        assert exc.value.locator == "$[0].citations.2001"
+
+    def test_bounds_themselves_are_accepted(self):
+        papers = b"paper_id,pub_year,title\nA,1000,\nB,9999,\n"
+        citations = f"paper_id,year,count\nA,1000,{MAX_COUNT}\nA,9999,{MAX_COUNT}\n".encode()
+        corpus = parse_corpus_csv(papers, citations)
+        assert corpus.by_id["A"].citations == ((1000, MAX_COUNT), (9999, MAX_COUNT))
+        assert parse_corpus_json(export_corpus_json(corpus)) == corpus
+
+    def test_largest_counts_sum_without_wrapping(self):
+        # Two rows at the bound: int64 sums stay exact, and the one paper has h = 1.
+        corpus = parse_corpus_json(json_doc(citations=f'{{"2000": {MAX_COUNT}, "2001": {MAX_COUNT}}}'))
+        window = YearWindow.through(2001)
+        assert corpus.total_citations() == 2 * MAX_COUNT
+        assert windowed_h(corpus, window, window).h == 1
+
+
+def csv_pair(papers: str, citations: str) -> tuple[bytes, bytes]:
+    return ("paper_id,pub_year,title\n" + papers).encode(), ("paper_id,year,count\n" + citations).encode()
+
+
+class TestFirstViolationInFileOrder:
+    """Validation runs on whole columns, yet reports what a row-by-row pass would."""
+
+    # Z precedes A in both files but follows it in id order; both cite before publication.
+    PAPERS = "Z,2005,\nA,2005,\n"
+    CITATIONS = "A,2001,1\nZ,2003,1\nZ,2002,4\nZ,2005,2\n"
+    DOC = (
+        b'[{"id": "Z", "pub_year": 2005, "citations": {"2003": 1, "2002": 4, "2005": 2}},'
+        b' {"id": "A", "pub_year": 2005, "citations": {"2001": 1}}]'
+    )
+
+    def test_citation_before_publication_names_first_paper_in_file(self):
+        for parse in (lambda: parse_corpus_csv(*csv_pair(self.PAPERS, self.CITATIONS)),
+                      lambda: parse_corpus_json(self.DOC)):
+            with pytest.raises(CitationBeforePublicationError) as exc:
+                parse()
+            assert (exc.value.paper_id, exc.value.year) == ("Z", 2002)
+
+    def test_lenient_clamp_merges_into_publication_year(self):
+        lenient = IngestOptions(lenient_clamp=True)
+        from_csv = parse_corpus_csv(*csv_pair(self.PAPERS, self.CITATIONS), lenient)
+        assert from_csv == parse_corpus_json(self.DOC, lenient)
+        assert from_csv.by_id["Z"].citations == ((2005, 7),)
+        assert from_csv.by_id["A"].citations == ((2005, 1),)
+
+    def test_duplicate_row_names_the_second_line(self):
+        citations = "A,2006,1\nZ,2007,1\nA,2006,2\nZ,2007,3\n"
+        with pytest.raises(DuplicateYearRowError) as exc:
+            parse_corpus_csv(*csv_pair(self.PAPERS, citations))
+        assert (exc.value.paper_id, exc.value.year, exc.value.locator) == ("A", 2006, "citations line 4")
+
+    def test_duplicate_row_before_a_bad_row_comes_first(self):
+        citations = "A,2006,1\nA,2006,2\nZ,2007,x\nQ,2007,1\n"
+        with pytest.raises(DuplicateYearRowError) as exc:
+            parse_corpus_csv(*csv_pair(self.PAPERS, citations), IngestOptions(lenient_clamp=True))
+        assert exc.value.locator == "citations line 3"
+
+    def test_bad_row_before_a_duplicate_row_comes_first(self):
+        citations = "A,2006,1\nZ,2007,x\nA,2006,2\n"
+        with pytest.raises(ParseError) as exc:
+            parse_corpus_csv(*csv_pair(self.PAPERS, citations))
+        assert exc.value.locator == "citations line 3"
+
+    def test_json_duplicate_year_keys(self):
+        doc = b'[{"id": "P", "pub_year": 2000, "citations": {"2001": 1, "02001": 2}}, {"id": 5}]'
+        with pytest.raises(SchemaError) as exc:
+            parse_corpus_json(doc)
+        assert exc.value.locator == "$[0].citations.02001"
+
+
+def reference_json(corpus) -> bytes:
+    entries = []
+    for paper in corpus.papers:
+        entry = {
+            "id": paper.id,
+            "pub_year": paper.pub_year,
+            "citations": {str(year): count for year, count in paper.citations},
+        }
+        if paper.title is not None:
+            entry["title"] = paper.title
+        entries.append(entry)
+    return (json.dumps(entries, indent=2, sort_keys=True, ensure_ascii=False) + "\n").encode()
+
+
+class TestJsonExportBytes:
+    @given(wire_corpora())
+    @example(validate_corpus([]))
+    @example(validate_corpus([PaperRecord("uncited", 2000), PaperRecord("cited", 1000, {9999: 3})]))
+    @example(validate_corpus([PaperRecord('q"\\\x00 é', 2000, {2001: 5}, title='\x7f"\n\t ퟿中')]))
+    @settings(max_examples=150)
+    def test_matches_reference_encoder(self, corpus):
+        assert export_corpus_json(corpus) == reference_json(corpus)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from citewindow import (
     CitationBeforePublicationError,
+    Corpus,
     DuplicateIdError,
     EmptyCorpusError,
     InvalidRangeError,
@@ -101,6 +102,45 @@ class TestValidateCorpus:
     def test_negative_count(self):
         with pytest.raises(NegativeCountError):
             validate_corpus([PaperRecord("P", 2000, {2001: -2})])
+
+    @pytest.mark.parametrize(
+        "paper",
+        [
+            PaperRecord("P", 999),
+            PaperRecord("P", 10000),
+            PaperRecord("P", 2000, {10000: 1}),
+            PaperRecord("P", 2000, {2001: 2**31}),
+            PaperRecord("P", 2000, {2001: 2**62}),
+            PaperRecord("P", 2000, {2001: 10**23}),
+        ],
+    )
+    def test_years_and_counts_are_bounded(self, paper):
+        with pytest.raises(InvalidRangeError) as exc:
+            validate_corpus([PaperRecord("A", 2000, {2001: 2**31 - 1}), paper])
+        assert "'P'" in str(exc.value)
+
+    def test_first_violation_in_input_order(self):
+        # Z comes first in the input but after A in id order; both break rules.
+        papers = [
+            PaperRecord("Z", 2005, {2003: 1, 2002: 1}),
+            PaperRecord("A", 2005, {2001: -1}),
+            PaperRecord("Z", 2006),
+        ]
+        with pytest.raises(CitationBeforePublicationError) as exc:
+            validate_corpus(papers)
+        assert (exc.value.paper_id, exc.value.year) == ("Z", 2002)
+        with pytest.raises(NegativeCountError):
+            validate_corpus(papers[1:])
+        with pytest.raises(NegativeCountError):
+            validate_corpus([papers[1], *papers])
+
+    def test_records_view_and_equality(self, toy_corpus):
+        rebuilt = validate_corpus(reversed(toy_corpus.papers))
+        assert rebuilt == toy_corpus
+        assert Corpus(toy_corpus.papers) == toy_corpus
+        assert hash(rebuilt) == hash(toy_corpus)
+        assert validate_corpus([PaperRecord("P1", 2000)]) != toy_corpus
+        assert list(toy_corpus) == list(Corpus(reversed(toy_corpus.papers)).papers)
 
     def test_papers_sorted_by_id(self):
         corpus = validate_corpus([PaperRecord("B", 2001), PaperRecord("A", 2000)])
