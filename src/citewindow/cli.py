@@ -109,13 +109,7 @@ def _parse_window(parser, raw: str, flag: str) -> YearWindow:
 
 def _emit_tables(args, *named_tables: tuple[str, tables.OutputTable]) -> None:
     if args.format == "json":
-        import json as _json
-
-        if len(named_tables) == 1:
-            doc = named_tables[0][1].to_json_obj()
-        else:
-            doc = {name: table.to_json_obj() for name, table in named_tables}
-        _write(_json.dumps(doc, indent=2, ensure_ascii=False) + "\n", args.output)
+        _write(tables.json_document(named_tables), args.output)
     else:
         text = "\n".join(table.to_csv() for _, table in named_tables)
         _write(text, args.output)

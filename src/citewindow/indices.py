@@ -5,6 +5,18 @@ publication window, count each paper's citations inside a citation
 window, rank the counts, and take the largest rank h whose count still
 reaches h.  The timed index, the 5-year index, the age-discounted index
 and the evolution table are thin variations on that kernel.
+
+Window queries run in chunks.  Each window (a cell) maps, by binary
+search, to a column slice of the count cache (the papers published in
+the window) and two prefix rows (its citation years).  Consecutive cells
+form a chunk while the chunk's cells times its combined column width
+stays within a few thousand entries; a wider cell is a chunk of its own.
+A chunk costs one prefix-row subtraction over its combined slice, a mask
+that zeroes each cell's columns outside its own slice, and one row-wise
+sort; h is then read from each sorted row.  The zeros sort last, so they
+change neither h nor the interpolation.  A single query is a one-cell
+chunk, and a whole evolution table for an author-sized corpus is a
+handful of chunks.
 """
 
 from __future__ import annotations
@@ -69,10 +81,13 @@ class IndexValue:
     def __post_init__(self):
         if self.h < 0:
             raise ValueError("index value must be non-negative")
-        if self.h_interp is not None:
-            interp = Fraction(self.h_interp)
-            object.__setattr__(self, "h_interp", interp)
-            if not self.h <= interp < self.h + 1:
+        interp = self.h_interp
+        if interp is not None:
+            if not isinstance(interp, Fraction):
+                interp = Fraction(interp)
+                object.__setattr__(self, "h_interp", interp)
+            # Floor division: the same test as h <= interp < h + 1.
+            if interp.numerator // interp.denominator != self.h:
                 raise ValueError(
                     f"interpolated value {interp} does not truncate to h={self.h}"
                 )
@@ -154,12 +169,17 @@ def _h_index(ordered, interpolated: bool) -> tuple[int, Fraction | None]:
         return h, None
     if h == 0:
         return 0, Fraction(0)
-    return h, _crossing(h, Fraction(at(h - 1)), Fraction(at(h)) if h < len(ordered) else Fraction(0))
+    return h, _crossing(h, at(h - 1), at(h) if h < len(ordered) else 0)
 
 
-def _crossing(h: int, c_h: Fraction, c_h1: Fraction) -> Fraction:
-    """Fixed point of the line through (h, c(h)) and (h + 1, c(h + 1))."""
-    return (c_h + h * (c_h - c_h1)) / (1 + c_h - c_h1)
+def _crossing(h: int, c_h, c_h1) -> Fraction:
+    """Fixed point of the line through (h, c(h)) and (h + 1, c(h + 1)).
+
+    ``c_h`` and ``c_h1`` are ints or Fractions; the result is built as one
+    Fraction, so integer counts cost a single normalisation.
+    """
+    d = c_h - c_h1
+    return Fraction(c_h + h * d, 1 + d)
 
 
 def h_from_ranked(c: RankedCitations | Sequence) -> int:
@@ -197,10 +217,8 @@ def windowed_h(
     :func:`h_from_ranked` (plus :func:`interpolate_h` when flagged);
     windows selecting nothing yield h = 0.
     """
-    if corpus.is_empty:
-        return IndexValue(0, Fraction(0) if interpolated else None)
-    counts = corpus._dense.window_counts(pub_window, cite_window)
-    return IndexValue(*_h_index(np.sort(counts)[::-1], interpolated))
+    window = (pub_window.start, pub_window.end, cite_window.start, cite_window.end)
+    return _window_h(corpus, [window], interpolated)[0]
 
 
 def timed_h(corpus: Corpus, y: int, t: int, interpolated: bool = False) -> IndexValue:
@@ -217,13 +235,57 @@ def timed_h(corpus: Corpus, y: int, t: int, interpolated: bool = False) -> Index
     return windowed_h(corpus, window, window, interpolated)
 
 
-def _year_index_grid(corpus, t_values, y_from, y_to, interpolated):
-    for t in t_values:
-        row = []
-        for y in range(y_from, y_to + 1):
-            eff_t = max(y - corpus.y0, 0) if t is ALL else t
-            row.append(timed_h(corpus, y, eff_t, interpolated))
-        yield tuple(row)
+# Most entries (cells x combined column width) one chunk may hold, so
+# that a chunk's int64 temporaries stay near 100 KB.
+_CHUNK_ELEMENTS = 4096
+
+
+def _chunks(cells):
+    """(start, stop, first, last) for runs of consecutive ``cells``.
+
+    A run's combined column slice ``first:last`` times its number of
+    cells stays within :data:`_CHUNK_ELEMENTS`, except for a run of one
+    cell wider than that.
+    """
+    start = 0
+    while start < len(cells):
+        first, last = cells[start][:2]
+        stop = start + 1
+        while stop < len(cells):
+            lo, hi = min(first, cells[stop][0]), max(last, cells[stop][1])
+            if (stop + 1 - start) * (hi - lo) > _CHUNK_ELEMENTS:
+                break
+            first, last = lo, hi
+            stop += 1
+        yield start, stop, first, last
+        start = stop
+
+
+def _window_h(corpus: Corpus, windows, interpolated: bool) -> list[IndexValue]:
+    """The windowed h of every (pub_start, pub_end, cite_start, cite_end) window.
+
+    Starts may be None (unbounded).  Works through the windows in chunks;
+    see the module docstring.
+    """
+    if corpus.is_empty:
+        return [IndexValue(0, Fraction(0) if interpolated else None)] * len(windows)
+    dense = corpus._dense
+    prefix = dense.prefix
+    cells = [dense.slices(*window) for window in windows]
+    values = []
+    for start, stop, first, last in _chunks(cells):
+        if stop - start == 1:
+            # One cell: its own slice, so no mask, and the rows are views.
+            _, _, lo, hi = cells[start]
+            block = prefix[hi : hi + 1, first:last] - prefix[lo : lo + 1, first:last]
+        else:
+            firsts, lasts, los, his = np.array(cells[start:stop]).T
+            block = prefix[his, first:last] - prefix[los, first:last]
+            columns = np.arange(first, last)
+            block[(columns < firsts[:, None]) | (columns >= lasts[:, None])] = 0
+        block.sort(axis=1)
+        values += [IndexValue(*_h_index(row, interpolated)) for row in block[:, ::-1]]
+    return values
 
 
 def evolution_table(
@@ -258,7 +320,16 @@ def evolution_table(
     if y_from > y_to:
         raise InvalidRangeError(f"year range [{y_from}, {y_to}] is empty")
     ordered_ts = tuple(ints) + ((ALL,) if has_all else ())
-    values = tuple(_year_index_grid(corpus, ordered_ts, y_from, y_to, interpolated))
+    years = range(y_from, y_to + 1)
+    windows = []
+    for t in ordered_ts:
+        for y in years:
+            start = y - (max(y - corpus.y0, 0) if t is ALL else t)
+            windows.append((start, y, start, y))
+    cells = _window_h(corpus, windows, interpolated)
+    values = tuple(
+        tuple(cells[i : i + len(years)]) for i in range(0, len(cells), len(years))
+    )
     return EvolutionTable(ordered_ts, y_from, y_to, values)
 
 

@@ -19,6 +19,7 @@ In a validated corpus, years lie in 1000..9999 and counts in
 
 from __future__ import annotations
 
+import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -209,12 +210,25 @@ class _DenseCounts:
         self.years = years.tolist()
         self.pub_years = corpus._pub_year[order].tolist()
 
+    def slices(self, pub_start, pub_end, cite_start, cite_end) -> tuple[int, int, int, int]:
+        """(first, last, lo, hi) for inclusive publication and citation windows.
+
+        The papers published in [pub_start, pub_end] are the columns
+        ``first:last``; their citations in [cite_start, cite_end] are
+        ``prefix[hi] - prefix[lo]``.  A start of None leaves the window
+        unbounded in the past.
+        """
+        first = 0 if pub_start is None else bisect_left(self.pub_years, pub_start)
+        last = bisect_right(self.pub_years, pub_end)
+        lo = 0 if cite_start is None else bisect_left(self.years, cite_start)
+        hi = bisect_right(self.years, cite_end)
+        return first, last, lo, hi
+
     def window_counts(self, pub_window: YearWindow, cite_window: YearWindow) -> np.ndarray:
         """In-window citation counts of the papers published in ``pub_window``."""
-        first = 0 if pub_window.start is None else bisect_left(self.pub_years, pub_window.start)
-        last = bisect_right(self.pub_years, pub_window.end)
-        lo = 0 if cite_window.start is None else bisect_left(self.years, cite_window.start)
-        hi = bisect_right(self.years, cite_window.end)
+        first, last, lo, hi = self.slices(
+            pub_window.start, pub_window.end, cite_window.start, cite_window.end
+        )
         return self.prefix[hi, first:last] - self.prefix[lo, first:last]
 
 
@@ -474,8 +488,20 @@ def validate_corpus(papers: Iterable[PaperRecord]) -> Corpus:
     return corpus
 
 
+def _deprecated(name: str) -> None:
+    warnings.warn(
+        f"{name} is deprecated and will be removed; the library no longer uses it",
+        DeprecationWarning,
+        stacklevel=3,
+    )
+
+
 def citations_in_window(paper: PaperRecord, window: YearWindow) -> int:
-    """Citations the paper received in the given inclusive year window."""
+    """Citations the paper received in the given inclusive year window.
+
+    Deprecated: a per-record loop that no analysis uses any more.
+    """
+    _deprecated("citations_in_window")
     return sum(count for year, count in paper.citations if year in window)
 
 
@@ -485,7 +511,10 @@ def cumulative_series(paper: PaperRecord, ref_year: int) -> list[int]:
     Element t is the number of citations received in the publication year
     and the subsequent t years, clipped at ``ref_year``; the final element
     therefore equals ``paper.total_citations(ref_year)``.
+
+    Deprecated: a per-record loop that no analysis uses any more.
     """
+    _deprecated("cumulative_series")
     if ref_year < paper.pub_year:
         raise RefYearBeforePublicationError(paper.id, ref_year, paper.pub_year)
     series = [0] * (ref_year - paper.pub_year + 1)

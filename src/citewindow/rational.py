@@ -28,9 +28,14 @@ def format_fixed(value, places: int) -> str:
     Rounding is exact (ties to even); no float ever enters the path, so
     output bytes are stable across platforms.
     """
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     scale = 10**places
-    scaled = Fraction(value) * scale
-    n = round(scaled)
+    # Floor division, so the remainder is non-negative for either sign.
+    n, remainder = divmod(value.numerator * scale, value.denominator)
+    twice = 2 * remainder
+    if twice > value.denominator or (twice == value.denominator and n % 2):
+        n += 1
     sign = "-" if n < 0 else ""
     n = abs(n)
     if places == 0:

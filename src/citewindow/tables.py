@@ -4,7 +4,9 @@ Tables are plain header + string-cell rows.  Index values render with 4
 decimal places, percentages with 2; whatever is undefined stays an empty
 cell.  Serialization follows the same CSV conventions the ingest parser
 reads (UTF-8, LF, minimal quoting), so every emitted table can be read
-back with standard CSV tooling.
+back with standard CSV tooling.  JSON output has the bytes of
+``json.dumps(..., indent=2, ensure_ascii=False)``, written by a fixed-layout
+writer instead of that call's pure-Python indenting encoder.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "evolution_output",
     "aging_output",
     "groups_output",
+    "json_document",
 ]
 
 
@@ -47,7 +50,40 @@ class OutputTable:
         return {"columns": list(self.columns), "rows": [list(r) for r in self.rows]}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, ensure_ascii=False) + "\n"
+        return _json_table(self, "") + "\n"
+
+
+def _json_block(brackets: str, items: list[str], indent: str) -> str:
+    """A JSON list (``"[]"``) or object (``"{}"``) of already encoded ``items``,
+    laid out as ``json.dumps(indent=2)`` lays it out with its opening bracket
+    at nesting ``indent``."""
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    # One f-string, so the text is copied once more after the join, not
+    # once per concatenation.
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{indent}{brackets[1]}"
+
+
+def _json_table(table: OutputTable, indent: str) -> str:
+    """``table.to_json_obj()`` in the layout of ``json.dumps(indent=2, ensure_ascii=False)``."""
+    encode = json.encoder.encode_basestring
+    inner = indent + "  "
+    columns = _json_block("[]", list(map(encode, table.columns)), inner)
+    rows = _json_block(
+        "[]", [_json_block("[]", list(map(encode, row)), inner + "  ") for row in table.rows], inner
+    )
+    return f'{{\n{inner}"columns": {columns},\n{inner}"rows": {rows}\n{indent}}}'
+
+
+def json_document(named_tables) -> str:
+    """The JSON text of (name, table) pairs: a single table is the document
+    itself, several become one object keyed by name, in the given order."""
+    if len(named_tables) == 1:
+        return named_tables[0][1].to_json()
+    encode = json.encoder.encode_basestring
+    fields = [f"{encode(name)}: {_json_table(table, '  ')}" for name, table in named_tables]
+    return _json_block("{}", fields, "") + "\n"
 
 
 def _render_index(value: _indices.IndexValue, interpolated: bool) -> str:

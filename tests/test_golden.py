@@ -42,7 +42,9 @@ def _commands(corpus) -> dict:
         "aging": ["aging", "DATA"],
         "groups": ["groups", "DATA"],
         "groups_yearly": ["groups", "DATA", "--mode", "yearly"],
+        "groups_json": ["groups", "DATA", "--format", "json"],
         "evolution": ["evolution", "DATA", "--interpolated", "--from", first],
+        "evolution_json": ["evolution", "DATA", "--interpolated", "--from", first, "--format", "json"],
         "contemporary": ["index", "DATA", "--preset", "contemporary", "--interpolated", "--year", ref],
         "aif": ["index", "DATA", "--preset", "aif", "--year", ref],
         "h5": ["index", "DATA", "--preset", "h5", "--interpolated", "--year", ref],
@@ -90,7 +92,19 @@ def test_exports_match_digests(setup):
 
 @pytest.mark.parametrize("layout", ["csv", "json"])
 @pytest.mark.parametrize(
-    "name", ["validate", "aging", "groups", "groups_yearly", "evolution", "contemporary", "aif", "h5"]
+    "name",
+    [
+        "validate",
+        "aging",
+        "groups",
+        "groups_yearly",
+        "groups_json",
+        "evolution",
+        "evolution_json",
+        "contemporary",
+        "aif",
+        "h5",
+    ],
 )
 def test_cli_reproduces_golden_output(setup, name, layout):
     corpus, _, layouts = setup

@@ -1,30 +1,34 @@
 """Array passes against per-record brute force.
 
 The aging table, the mass partition, the yearly group counts, the author
-impact factor and the contemporary index run as passes over the corpus
-store.  Each reference below is the plain per-paper loop over
-``PaperRecord`` views that those passes replace, kept here so that every
-property compares the two on the same corpus.
+impact factor, the contemporary index and the evolution table run as
+passes over the corpus store.  Each reference below is the plain
+per-paper loop over ``PaperRecord`` views that those passes replace,
+kept here so that every property compares the two on the same corpus.
 """
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citewindow import (
+    ALL,
     NoPapersInWindowError,
     PaperRecord,
     author_impact_factor,
     contemporary_h,
+    evolution_table,
     group_yearly_counts,
     partition_by_mass,
     quantile_windows,
     validate_corpus,
 )
+from citewindow.indices import _CHUNK_ELEMENTS
 from citewindow.tables import aging_output
-from helpers import small_corpora
+from helpers import random_corpus, small_corpora
 
 MAX_COUNT = 2**31 - 1
 TOKEN_SETS = (
@@ -110,23 +114,36 @@ def reference_yearly_counts(corpus, partition):
     return result
 
 
-def reference_contemporary(corpus, y, gamma, delta):
-    scores = sorted(
-        (
-            Fraction(gamma) * Fraction(y - p.pub_year + 1) ** -delta * total(p, y)
-            for p in corpus.papers
-            if p.pub_year <= y
-        ),
-        reverse=True,
-    )
+def reference_h(scores):
+    """h and its interpolation, from the scores in any order."""
+    scores = sorted(scores, reverse=True)
     h = 0
     while h < len(scores) and scores[h] >= h + 1:
         h += 1
     if h == 0:
         return 0, Fraction(0)
-    c_h = scores[h - 1]
-    c_h1 = scores[h] if h < len(scores) else Fraction(0)
+    c_h = Fraction(scores[h - 1])
+    c_h1 = Fraction(scores[h]) if h < len(scores) else Fraction(0)
     return h, (c_h + h * (c_h - c_h1)) / (1 + c_h - c_h1)
+
+
+def reference_contemporary(corpus, y, gamma, delta):
+    return reference_h(
+        Fraction(gamma) * Fraction(y - p.pub_year + 1) ** -delta * total(p, y)
+        for p in corpus.papers
+        if p.pub_year <= y
+    )
+
+
+def reference_evolution_cell(corpus, t, y):
+    """Papers published in [y - t, y] with their citations in that span; the
+    ALL column takes every paper published by y with its citations up to y."""
+    start = None if t is ALL else y - t
+    return reference_h(
+        sum(c for year, c in p.citations if (start is None or start <= year) and year <= y)
+        for p in corpus.papers
+        if (start is None or start <= p.pub_year) and p.pub_year <= y
+    )
 
 
 class TestAgingOutput:
@@ -222,3 +239,43 @@ class TestContemporaryH:
         value = contemporary_h(corpus, y, gamma, delta, interpolated=True)
         assert (value.h, value.h_interp) == reference_contemporary(corpus, y, gamma, delta)
         assert contemporary_h(corpus, y, gamma, delta).h == value.h
+
+
+def assert_evolution_matches(corpus, t_values, y_from, y_to):
+    plain = evolution_table(corpus, t_values, y_from, y_to)
+    interp = evolution_table(corpus, t_values, y_from, y_to, interpolated=True)
+    assert plain.t_values == interp.t_values
+    for t in plain.t_values:
+        for y in plain.years:
+            h, h_interp = reference_evolution_cell(corpus, t, y)
+            assert (plain.value(t, y).h, plain.value(t, y).h_interp) == (h, None), (t, y)
+            assert (interp.value(t, y).h, interp.value(t, y).h_interp) == (h, h_interp), (t, y)
+
+
+T_LISTS = st.lists(st.one_of(st.integers(0, 12), st.just(ALL)), min_size=1, max_size=5)
+
+
+class TestEvolutionTable:
+    @given(small_corpora(), T_LISTS, st.integers(0, 3), st.integers(0, 3))
+    @settings(max_examples=150)
+    def test_small_corpora_match_per_cell_loop(self, corpus, t_values, before, after):
+        # Years from before y0 to after y_end: cells with empty windows.
+        assert_evolution_matches(corpus, t_values, corpus.y0 - before, corpus.y_end + after)
+
+    @given(st.integers(0, 2**32 - 1), T_LISTS)
+    @settings(max_examples=20, deadline=None)
+    def test_corpora_spanning_several_chunks_match_per_cell_loop(self, seed, t_values):
+        corpus = random_corpus(np.random.default_rng(seed), max_papers=400, max_career=25)
+        assert_evolution_matches(corpus, t_values, corpus.y0 - 2, corpus.y_end + 2)
+
+    def test_cells_wider_than_a_chunk_match_per_cell_loop(self):
+        rng = np.random.default_rng(3)
+        papers = []
+        for i in range(_CHUNK_ELEMENTS + 500):
+            pub = 2000 + i % 4
+            cited = [year for year in range(pub, 2006) if rng.random() < 0.6]
+            papers.append(PaperRecord(f"p{i}", pub, {y: int(rng.integers(1, 9)) for y in cited}))
+        corpus = validate_corpus(papers)
+        # Windows that cover 2000-2003 (t = 3 and ALL from 2003 on) hold
+        # more papers than a chunk may; the narrower ones share chunks.
+        assert_evolution_matches(corpus, [0, 1, 3, ALL], 1999, 2006)

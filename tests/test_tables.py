@@ -1,0 +1,90 @@
+"""Rendering: fixed-point decimals and the JSON table writer."""
+
+import json
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from citewindow.rational import format_fixed
+from citewindow.tables import OutputTable, json_document
+
+
+def reference_fixed(value: Fraction, places: int) -> str:
+    n = round(value * 10**places)  # Fraction rounding: ties to even
+    sign = "-" if n < 0 else ""
+    whole, frac = divmod(abs(n), 10**places)
+    return f"{sign}{whole}" if places == 0 else f"{sign}{whole}.{frac:0{places}d}"
+
+
+PLACES = st.integers(0, 6)
+FRACTIONS = st.fractions(max_denominator=10**9)
+
+
+@st.composite
+def ties(draw):
+    """Values exactly halfway between two neighbours at ``places`` decimals."""
+    places = draw(PLACES)
+    odd = 2 * draw(st.integers(-(10**8), 10**8)) + 1
+    return Fraction(odd, 2 * 10**places), places
+
+
+class TestFormatFixed:
+    @given(FRACTIONS, PLACES)
+    @example(Fraction(-1, 3), 4)
+    @example(Fraction(-1, 10**6), 4)
+    @example(Fraction(0), 0)
+    @settings(max_examples=300)
+    def test_matches_fraction_rounding(self, value, places):
+        assert format_fixed(value, places) == reference_fixed(value, places)
+
+    @given(ties())
+    @example((Fraction(1, 2), 0))
+    @example((Fraction(-5, 2), 0))
+    @example((Fraction(-125, 1000), 2))
+    @settings(max_examples=300)
+    def test_exact_ties_round_to_even(self, tie):
+        value, places = tie
+        assert format_fixed(value, places) == reference_fixed(value, places)
+
+    def test_ints_and_ties(self):
+        assert format_fixed(3, 2) == "3.00"
+        assert format_fixed(Fraction(5, 2), 0) == "2"
+        assert format_fixed(Fraction(-5, 2), 0) == "-2"
+        assert format_fixed(Fraction(-3, 2), 0) == "-2"
+        assert format_fixed(Fraction(1, 8), 2) == "0.12"
+        assert format_fixed(Fraction(-1, 200), 2) == "0.00"  # -0.005 ties to 0
+
+
+# Quotes, backslashes, control characters, surrogate-free non-ASCII.
+CELLS = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=6)
+
+
+@st.composite
+def output_tables(draw):
+    width = draw(st.integers(0, 4))
+    columns = tuple(draw(st.lists(CELLS, min_size=width, max_size=width)))
+    rows = draw(st.lists(st.lists(CELLS, min_size=width, max_size=width), max_size=4))
+    return OutputTable(columns, tuple(map(tuple, rows)))
+
+
+def reference_json(doc) -> str:
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+class TestJsonWriter:
+    @given(output_tables())
+    @example(OutputTable((), ()))
+    @example(OutputTable(("a",), ()))
+    @example(OutputTable((), ((), ())))
+    @example(OutputTable(('"q"', "\\"), (("\x00\x1f\x7f", "é中 "),)))
+    @settings(max_examples=200)
+    def test_table_matches_json_dumps(self, table):
+        assert table.to_json() == reference_json(table.to_json_obj())
+        assert json_document([("only", table)]) == table.to_json()
+
+    @given(st.lists(st.tuples(CELLS, output_tables()), min_size=2, max_size=3, unique_by=lambda p: p[0]))
+    @settings(max_examples=100)
+    def test_document_matches_json_dumps(self, named):
+        expected = reference_json({name: table.to_json_obj() for name, table in named})
+        assert json_document(named) == expected
