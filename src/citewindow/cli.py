@@ -122,6 +122,10 @@ def cmd_validate(parser, args) -> int:
 
 
 def cmd_evolution(parser, args) -> int:
+    # Only both flags together are a flag error; one flag may leave the
+    # corpus span empty, which is a data error.
+    if args.y_from is not None and args.y_to is not None and args.y_from > args.y_to:
+        parser.error(f"--from {args.y_from} is after --to {args.y_to}")
     corpus = _load(parser, args)
     table = tables.evolution_output(
         corpus, args.t_list, args.y_from, args.y_to, args.interpolated

@@ -13,10 +13,19 @@ form a chunk while the chunk's cells times its combined column width
 stays within a few thousand entries; a wider cell is a chunk of its own.
 A chunk costs one prefix-row subtraction over its combined slice, a mask
 that zeroes each cell's columns outside its own slice, and one row-wise
-sort; h is then read from each sorted row.  The zeros sort last, so they
-change neither h nor the interpolation.  A single query is a one-cell
-chunk, and a whole evolution table for an author-sized corpus is a
-handful of chunks.
+sort.  The zeros sort last, so they change neither h nor the
+interpolation.  A single query is a one-cell chunk, and a whole evolution
+table for an author-sized corpus is a handful of chunks.
+
+h is read from the sorted chunk by bound and count.  The column-wise
+maximum of the descending rows is itself non-increasing and lies above
+every row, so its h, found by bisection, is a bound K on every row's h.
+Within a row, c(i) >= i holds on a prefix of the ranks, so one count of
+c(i) >= i over the first K ranks gives the h of every row at once, and
+one fancy index reads c(h) and c(h + 1).  A one-cell chunk's bound is its
+own h, so it skips the count.  The kernel hands back plain integers;
+callers build ``IndexValue``s from them, or render the interpolation
+(c(h) + h·d) / (1 + d), d = c(h) - c(h + 1), without a Fraction.
 """
 
 from __future__ import annotations
@@ -172,14 +181,17 @@ def _h_index(ordered, interpolated: bool) -> tuple[int, Fraction | None]:
     return h, _crossing(h, at(h - 1), at(h) if h < len(ordered) else 0)
 
 
-def _crossing(h: int, c_h, c_h1) -> Fraction:
-    """Fixed point of the line through (h, c(h)) and (h + 1, c(h + 1)).
-
-    ``c_h`` and ``c_h1`` are ints or Fractions; the result is built as one
-    Fraction, so integer counts cost a single normalisation.
-    """
+def _crossing_terms(h: int, c_h, c_h1) -> tuple:
+    """Numerator and denominator of the fixed point of the line through
+    (h, c(h)) and (h + 1, c(h + 1)); the denominator is at least 1."""
     d = c_h - c_h1
-    return Fraction(c_h + h * d, 1 + d)
+    return c_h + h * d, 1 + d
+
+
+def _crossing(h: int, c_h, c_h1) -> Fraction:
+    """:func:`_crossing_terms` as one Fraction, so integer counts cost a
+    single normalisation; ``c_h`` and ``c_h1`` are ints or Fractions."""
+    return Fraction(*_crossing_terms(h, c_h, c_h1))
 
 
 def h_from_ranked(c: RankedCitations | Sequence) -> int:
@@ -218,7 +230,7 @@ def windowed_h(
     windows selecting nothing yield h = 0.
     """
     window = (pub_window.start, pub_window.end, cite_window.start, cite_window.end)
-    return _window_h(corpus, [window], interpolated)[0]
+    return _index_values(_window_rows(corpus, [window]), interpolated)[0]
 
 
 def timed_h(corpus: Corpus, y: int, t: int, interpolated: bool = False) -> IndexValue:
@@ -261,45 +273,72 @@ def _chunks(cells):
         start = stop
 
 
-def _window_h(corpus: Corpus, windows, interpolated: bool) -> list[IndexValue]:
-    """The windowed h of every (pub_start, pub_end, cite_start, cite_end) window.
+def _chunk_rows(desc: np.ndarray) -> tuple[list, list, list]:
+    """h, c(h) and c(h + 1) of every row of ``desc``, rows non-increasing.
+
+    c(0) and the counts past a row's end read as 0.  See the module
+    docstring for the bound K and the count.
+    """
+    rows, width = desc.shape
+    bound, _ = _h_index(desc.max(axis=0), False)
+    h = np.count_nonzero(desc[:, :bound] >= np.arange(1, bound + 1), axis=1)
+    padded = np.zeros((rows, bound + 2), dtype=desc.dtype)
+    reach = min(bound + 1, width)
+    padded[:, 1 : reach + 1] = desc[:, :reach]
+    picked = np.arange(rows)
+    return h.tolist(), padded[picked, h].tolist(), padded[picked, h + 1].tolist()
+
+
+def _window_rows(corpus: Corpus, windows) -> tuple[list, list, list]:
+    """h, c(h) and c(h + 1) of every (pub_start, pub_end, cite_start, cite_end)
+    window, as three lists of Python ints.
 
     Starts may be None (unbounded).  Works through the windows in chunks;
     see the module docstring.
     """
     if corpus.is_empty:
-        return [IndexValue(0, Fraction(0) if interpolated else None)] * len(windows)
+        zeros = [0] * len(windows)
+        return zeros, zeros, zeros
     dense = corpus._dense
     prefix = dense.prefix
     cells = [dense.slices(*window) for window in windows]
-    values = []
+    hs, c_hs, c_h1s = [], [], []
     for start, stop, first, last in _chunks(cells):
         if stop - start == 1:
-            # One cell: its own slice, so no mask, and the rows are views.
+            # One cell: its own slice, so no mask, and its bound is its h.
             _, _, lo, hi = cells[start]
-            block = prefix[hi : hi + 1, first:last] - prefix[lo : lo + 1, first:last]
+            row = prefix[hi, first:last] - prefix[lo, first:last]
+            row.sort()
+            row = row[::-1]
+            h, _ = _h_index(row, False)
+            hs.append(h)
+            c_hs.append(row.item(h - 1) if h else 0)
+            c_h1s.append(row.item(h) if h < row.size else 0)
         else:
             firsts, lasts, los, his = np.array(cells[start:stop]).T
             block = prefix[his, first:last] - prefix[los, first:last]
             columns = np.arange(first, last)
             block[(columns < firsts[:, None]) | (columns >= lasts[:, None])] = 0
-        block.sort(axis=1)
-        values += [IndexValue(*_h_index(row, interpolated)) for row in block[:, ::-1]]
-    return values
+            block.sort(axis=1)
+            h, c_h, c_h1 = _chunk_rows(block[:, ::-1])
+            hs += h
+            c_hs += c_h
+            c_h1s += c_h1
+    return hs, c_hs, c_h1s
 
 
-def evolution_table(
-    corpus: Corpus,
-    t_values: Iterable,
-    y_from: int | None = None,
-    y_to: int | None = None,
-    interpolated: bool = False,
-) -> EvolutionTable:
-    """Timed index values for several window lengths across a year range.
+def _index_values(rows, interpolated: bool) -> list[IndexValue]:
+    """``IndexValue``s from the (h, c(h), c(h + 1)) lists of :func:`_window_rows`."""
+    hs, c_hs, c_h1s = rows
+    if not interpolated:
+        return [IndexValue(h) for h in hs]
+    return [IndexValue(h, _crossing(h, c_h, c_h1)) for h, c_h, c_h1 in zip(hs, c_hs, c_h1s)]
 
-    ``t_values`` mixes non-negative integers with the :data:`ALL` marker;
-    the marker column uses t = y - y0 per year and therefore traces the
-    evolution of the ordinary h-index.  Years default to the corpus span.
+
+def _evolution_windows(corpus: Corpus, t_values: Iterable, y_from, y_to):
+    """(ordered window lengths, years, windows) of an evolution grid.
+
+    The windows run length by length, each across all years.
     """
     ints = []
     has_all = False
@@ -326,11 +365,28 @@ def evolution_table(
         for y in years:
             start = y - (max(y - corpus.y0, 0) if t is ALL else t)
             windows.append((start, y, start, y))
-    cells = _window_h(corpus, windows, interpolated)
+    return ordered_ts, years, windows
+
+
+def evolution_table(
+    corpus: Corpus,
+    t_values: Iterable,
+    y_from: int | None = None,
+    y_to: int | None = None,
+    interpolated: bool = False,
+) -> EvolutionTable:
+    """Timed index values for several window lengths across a year range.
+
+    ``t_values`` mixes non-negative integers with the :data:`ALL` marker;
+    the marker column uses t = y - y0 per year and therefore traces the
+    evolution of the ordinary h-index.  Years default to the corpus span.
+    """
+    ordered_ts, years, windows = _evolution_windows(corpus, t_values, y_from, y_to)
+    cells = _index_values(_window_rows(corpus, windows), interpolated)
     values = tuple(
         tuple(cells[i : i + len(years)]) for i in range(0, len(cells), len(years))
     )
-    return EvolutionTable(ordered_ts, y_from, y_to, values)
+    return EvolutionTable(ordered_ts, years.start, years.stop - 1, values)
 
 
 def h5_index(

@@ -30,11 +30,17 @@ def format_fixed(value, places: int) -> str:
     """
     if not isinstance(value, Fraction):
         value = Fraction(value)
+    return _fixed(value.numerator, value.denominator, places)
+
+
+def _fixed(num: int, den: int, places: int) -> str:
+    """:func:`format_fixed` of num / den, for integers with ``den`` >= 1 and
+    not necessarily in lowest terms."""
     scale = 10**places
     # Floor division, so the remainder is non-negative for either sign.
-    n, remainder = divmod(value.numerator * scale, value.denominator)
+    n, remainder = divmod(num * scale, den)
     twice = 2 * remainder
-    if twice > value.denominator or (twice == value.denominator and n % 2):
+    if twice > den or (twice == den and n % 2):
         n += 1
     sign = "-" if n < 0 else ""
     n = abs(n)

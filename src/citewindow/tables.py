@@ -14,12 +14,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from . import aging as _aging
 from . import indices as _indices
 from .ingest import _csv_text
 from .model import Corpus, _segment_sums
-from .rational import as_fraction, format_fixed
+from .rational import _fixed, as_fraction
 
 __all__ = [
     "OutputTable",
@@ -86,12 +87,6 @@ def json_document(named_tables) -> str:
     return _json_block("{}", fields, "") + "\n"
 
 
-def _render_index(value: _indices.IndexValue, interpolated: bool) -> str:
-    if interpolated:
-        return format_fixed(value.h_interp, 4)
-    return str(value.h)
-
-
 def corpus_summary(corpus: Corpus) -> str:
     """One-line corpus overview used by the validate command."""
     if corpus.is_empty:
@@ -109,17 +104,22 @@ def evolution_output(
     y_to: int | None = None,
     interpolated: bool = False,
 ) -> OutputTable:
-    """Year-by-year table of the timed index, one column per window length."""
-    table = _indices.evolution_table(corpus, t_values, y_from, y_to, interpolated)
-    columns = ["year"] + [
-        "t=all" if t is _indices.ALL else f"t={t}" for t in table.t_values
-    ]
-    rows = []
-    for j, year in enumerate(table.years):
-        cells = [str(year)]
-        cells += [_render_index(col[j], interpolated) for col in table.values]
-        rows.append(tuple(cells))
-    return OutputTable(tuple(columns), tuple(rows))
+    """Year-by-year table of the timed index, one column per window length.
+
+    Cells render from the kernel's integers: the interpolated value is
+    (c(h) + h·d) / (1 + d) with d = c(h) - c(h + 1), rounded exactly.
+    """
+    lengths, years, windows = _indices._evolution_windows(corpus, t_values, y_from, y_to)
+    hs, c_hs, c_h1s = _indices._window_rows(corpus, windows)
+    if interpolated:
+        terms = map(_indices._crossing_terms, hs, c_hs, c_h1s)
+        cells = [_fixed(num, den, 4) for num, den in terms]
+    else:
+        cells = list(map(str, hs))
+    columns = ["year"] + ["t=all" if t is _indices.ALL else f"t={t}" for t in lengths]
+    n = len(years)
+    rows = tuple((str(year), *cells[j::n]) for j, year in enumerate(years))
+    return OutputTable(tuple(columns), rows)
 
 
 def aging_output(
@@ -199,15 +199,15 @@ def groups_output(
     )
     manifest = OutputTable(("group", "rank_from", "rank_to", "mass"), manifest_rows)
 
-    if mode == "cumulative":
-        curves = _aging.group_cumulative_curves(corpus, partition)
-        render = lambda v: format_fixed(v, 2)
-    else:
-        curves = _aging.group_yearly_counts(corpus, partition)
-        render = str
+    counts = _aging.group_yearly_counts(corpus, partition)
     curve_rows = []
-    for group, curve in zip(partition, curves):
-        for t, value in enumerate(curve):
-            curve_rows.append((str(group.index), str(t), render(value)))
+    for group, yearly in zip(partition, counts):
+        if mode == "cumulative":
+            # The percentage 100 * running / mass, rendered from integers.
+            cells = [_fixed(100 * got, group.mass, 2) for got in accumulate(yearly)]
+        else:
+            cells = list(map(str, yearly))
+        label = str(group.index)
+        curve_rows += [(label, str(t), cell) for t, cell in enumerate(cells)]
     curve_table = OutputTable(("group", "t", "value"), tuple(curve_rows))
     return manifest, curve_table

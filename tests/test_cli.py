@@ -127,8 +127,13 @@ class TestEvolution:
             main(["evolution", toy_json, "--t-list", "2,x"])
         assert exc.value.code == 2
 
-    def test_inverted_year_range(self, capsys, toy_json):
-        code, _, err = run(capsys, "evolution", toy_json, "--from", "2004", "--to", "2001")
+    def test_inverted_year_range(self, capsys):
+        # Both flags given: a flag error, reported before the corpus is read.
+        argv = ["evolution", "missing.json", "--from", "2002", "--to", "2001"]
+        assert_bad_flag_exits_2(capsys, argv, "--from 2002 is after --to 2001")
+
+    def test_year_range_past_the_corpus_is_a_data_error(self, capsys, toy_json):
+        code, _, err = run(capsys, "evolution", toy_json, "--from", "2030")
         assert code == 1
         assert "range" in err
 

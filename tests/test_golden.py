@@ -5,9 +5,11 @@ papers plus one paper published centuries before the rest, written in
 both layouts.  Every command runs on both layouts and must print exactly
 the bytes stored under ``tests/data/golden/``; the exports must hash to
 the digests stored there.  Regenerate the files only when an output
-change is intended::
+change is intended, all of them or only the named shapes::
 
-    PYTHONPATH=src:tests python tests/test_golden.py
+    PYTHONPATH=src:tests python tests/test_golden.py [NAME ...]
+
+A new shape's bytes come from the code before the change it guards.
 """
 
 import contextlib
@@ -36,7 +38,7 @@ def golden_corpus():
 
 def _commands(corpus) -> dict:
     """Name -> argv, with the corpus given as "DATA" (one layout or the other)."""
-    first, ref = str(corpus.y_end - 30), str(corpus.y_end)
+    first, ref, after = str(corpus.y_end - 30), str(corpus.y_end), str(corpus.y_end + 1)
     return {
         "validate": ["validate", "DATA"],
         "aging": ["aging", "DATA"],
@@ -45,6 +47,7 @@ def _commands(corpus) -> dict:
         "groups_json": ["groups", "DATA", "--format", "json"],
         "evolution": ["evolution", "DATA", "--interpolated", "--from", first],
         "evolution_json": ["evolution", "DATA", "--interpolated", "--from", first, "--format", "json"],
+        "evolution_plain": ["evolution", "DATA", "--t-list", "0,1,4,all", "--from", first, "--to", after],
         "contemporary": ["index", "DATA", "--preset", "contemporary", "--interpolated", "--year", ref],
         "aif": ["index", "DATA", "--preset", "aif", "--year", ref],
         "h5": ["index", "DATA", "--preset", "h5", "--interpolated", "--year", ref],
@@ -101,6 +104,7 @@ def test_exports_match_digests(setup):
         "groups_json",
         "evolution",
         "evolution_json",
+        "evolution_plain",
         "contemporary",
         "aif",
         "h5",
@@ -113,16 +117,26 @@ def test_cli_reproduces_golden_output(setup, name, layout):
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
 
     GOLDEN.mkdir(parents=True, exist_ok=True)
     corpus = golden_corpus()
     exports = _exports(corpus)
-    (GOLDEN / "exports.json").write_text(json.dumps(_digests(exports), indent=2, sort_keys=True) + "\n")
+    commands = _commands(corpus)
+    names = sys.argv[1:] or ["exports", *commands]
+    unknown = sorted(set(names) - {"exports", *commands})
+    if unknown:
+        sys.exit(f"unknown golden shapes: {', '.join(unknown)}")
+    if "exports" in names:
+        (GOLDEN / "exports.json").write_text(json.dumps(_digests(exports), indent=2, sort_keys=True) + "\n")
     with tempfile.TemporaryDirectory() as tmp:
         layouts = _layouts(Path(tmp), exports)
-        for name, argv in _commands(corpus).items():
+        for name in names:
+            if name == "exports":
+                continue
+            argv = commands[name]
             text = _run(argv, layouts["json"])
             assert text == _run(argv, layouts["csv"])
             (GOLDEN / f"{name}.out").write_text(text, encoding="utf-8", newline="")
-    print(f"{len(corpus)} papers; wrote {GOLDEN}")
+    print(f"{len(corpus)} papers; wrote {', '.join(names)} to {GOLDEN}")

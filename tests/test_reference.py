@@ -5,6 +5,8 @@ impact factor, the contemporary index and the evolution table run as
 passes over the corpus store.  Each reference below is the plain
 per-paper loop over ``PaperRecord`` views that those passes replace,
 kept here so that every property compares the two on the same corpus.
+The evolution and cumulative curve tables render from integers; they are
+compared with ``format_fixed`` over the library's own Fraction values.
 """
 
 from fractions import Fraction
@@ -21,13 +23,15 @@ from citewindow import (
     author_impact_factor,
     contemporary_h,
     evolution_table,
+    group_cumulative_curves,
     group_yearly_counts,
     partition_by_mass,
     quantile_windows,
     validate_corpus,
 )
-from citewindow.indices import _CHUNK_ELEMENTS
-from citewindow.tables import aging_output
+from citewindow.indices import _CHUNK_ELEMENTS, _chunk_rows
+from citewindow.rational import format_fixed
+from citewindow.tables import aging_output, evolution_output, groups_output
 from helpers import random_corpus, small_corpora
 
 MAX_COUNT = 2**31 - 1
@@ -189,6 +193,25 @@ class TestGroups:
         assert got == reference_partition(corpus, Fraction(target), ref_year)
         assert group_yearly_counts(corpus, partition) == reference_yearly_counts(corpus, partition)
 
+    @given(
+        CORPORA,
+        st.sampled_from([Fraction(1, 100), Fraction(15, 100), Fraction(1, 3), 1]),
+        st.integers(0, 12),
+    )
+    @settings(max_examples=80)
+    def test_cumulative_cells_render_the_curves(self, corpus, target, ref_offset):
+        ref_year = corpus.y0 + ref_offset
+        if not any(total(p, ref_year) for p in corpus.papers):
+            return
+        partition = partition_by_mass(corpus, target, ref_year)
+        expected = tuple(
+            (str(group.index), str(t), format_fixed(value, 2))
+            for group, curve in zip(partition, group_cumulative_curves(corpus, partition))
+            for t, value in enumerate(curve)
+        )
+        _, curve_table = groups_output(corpus, target, "cumulative", ref_year)
+        assert curve_table.rows == expected
+
 
 class TestAuthorImpactFactor:
     @given(small_corpora(), st.integers(-2, 12), st.integers(1, 6))
@@ -262,6 +285,11 @@ class TestEvolutionTable:
         # Years from before y0 to after y_end: cells with empty windows.
         assert_evolution_matches(corpus, t_values, corpus.y0 - before, corpus.y_end + after)
 
+    @given(small_corpora(max_count=MAX_COUNT), T_LISTS, st.integers(0, 3), st.integers(0, 3))
+    @settings(max_examples=80)
+    def test_counts_at_the_bound_match_per_cell_loop(self, corpus, t_values, before, after):
+        assert_evolution_matches(corpus, t_values, corpus.y0 - before, corpus.y_end + after)
+
     @given(st.integers(0, 2**32 - 1), T_LISTS)
     @settings(max_examples=20, deadline=None)
     def test_corpora_spanning_several_chunks_match_per_cell_loop(self, seed, t_values):
@@ -279,3 +307,37 @@ class TestEvolutionTable:
         # Windows that cover 2000-2003 (t = 3 and ALL from 2003 on) hold
         # more papers than a chunk may; the narrower ones share chunks.
         assert_evolution_matches(corpus, [0, 1, 3, ALL], 1999, 2006)
+
+    @given(CORPORA, T_LISTS, st.integers(0, 3), st.integers(0, 3), st.booleans())
+    @settings(max_examples=100)
+    def test_output_cells_render_the_table(self, corpus, t_values, before, after, interpolated):
+        y_from, y_to = corpus.y0 - before, corpus.y_end + after
+        table = evolution_table(corpus, t_values, y_from, y_to, interpolated)
+        output = evolution_output(corpus, t_values, y_from, y_to, interpolated)
+
+        def cell(value):
+            return format_fixed(value.h_interp, 4) if interpolated else str(value.h)
+
+        assert output.rows == tuple(
+            (str(y), *(cell(table.value(t, y)) for t in table.t_values)) for y in table.years
+        )
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # An all-zero row, a row whose h is the bound K = 3 and one below it.
+        [[0, 0, 0, 0, 0], [3, 3, 3, 1, 0], [4, 2, 2, 2, 0], [9, 1, 0, 0, 0]],
+        # A row whose h is the chunk width, so c(h + 1) lies past its end.
+        [[2, 2, 0], [5, 4, 3], [0, 0, 0]],
+        # Every row zero, and a chunk of width zero.
+        [[0, 0], [0, 0]],
+        [[], []],
+    ],
+)
+def test_chunk_rows_match_reference_per_row(rows):
+    desc = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+    hs, c_hs, c_h1s = _chunk_rows(desc)
+    for row, h, c_h, c_h1 in zip(rows, hs, c_hs, c_h1s):
+        padded = [0, *row, 0]
+        assert (h, c_h, c_h1) == (reference_h(row)[0], padded[h], padded[h + 1])

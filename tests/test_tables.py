@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from citewindow.rational import format_fixed
+from citewindow.rational import _fixed, format_fixed
 from citewindow.tables import OutputTable, json_document
 
 
@@ -46,6 +46,16 @@ class TestFormatFixed:
     def test_exact_ties_round_to_even(self, tie):
         value, places = tie
         assert format_fixed(value, places) == reference_fixed(value, places)
+
+    @given(st.integers(-(10**12), 10**12), st.integers(1, 10**6), st.integers(1, 10**4), PLACES)
+    @example(6, 4, 1, 0)  # 1.5 ties to 2
+    @example(-10, 4, 5, 0)  # -2.5 ties to -2
+    @example(5, 1000, 7, 2)  # 0.005 ties to 0.00
+    @settings(max_examples=300)
+    def test_unreduced_pairs_match_format_fixed(self, num, den, factor, places):
+        # A common factor leaves num / den unreduced; _fixed must not care.
+        expected = format_fixed(Fraction(num, den), places)
+        assert _fixed(num * factor, den * factor, places) == expected
 
     def test_ints_and_ties(self):
         assert format_fixed(3, 2) == "3.00"
