@@ -464,8 +464,11 @@ def contemporary_h(
     Age counts the publication year itself, so a paper published in year
     y has age 1; papers published after y are ignored.  ``gamma`` must be
     a non-negative rational and ``delta`` an integer, so that every score
-    is an exact rational; other values raise :class:`InvalidRangeError`.
+    is an exact rational, and ``y`` must lie in 1000..9999; other values
+    raise :class:`InvalidRangeError`.
     """
+    if not _YEAR_MIN <= y <= _YEAR_MAX:
+        raise InvalidRangeError(f"year {y} must lie in {_YEAR_MIN}..{_YEAR_MAX}")
     gamma = as_fraction(gamma)
     delta = as_fraction(delta)
     if gamma < 0:

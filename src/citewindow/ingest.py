@@ -19,6 +19,21 @@ spaces, underscores or digits of other scripts.  Anything else fails
 with a located error.  The bounds keep every citation sum inside int64,
 and four-digit year keys sort as their numbers do.
 
+Both parsers work a column at a time.  A file becomes int64 columns of
+paper index, year and count, which are checked in bulk; only the first
+failing row or paper is checked again on its own, in file order, to
+report exactly what a row-by-row reader would: the first break in the
+files (papers before citations), with a repeated (paper, year) row
+winning over a parse error below it.
+
+CSV text without '"' and without a CR outside CRLF has no quoting, so it
+is cut at line ends into blocks of about ``_BLOCK_CHARS`` (64 Ki)
+characters, and a block whose every line has the header's field count
+is split at commas and line ends.  Other blocks, and all other text, go
+through ``csv.reader``, the latter in blocks of ``_BLOCK_ROWS`` rows.
+Integer cells are read through one dict of their distinct texts.  Only
+one block's cells are alive at a time.
+
 Raw exports from bibliographic databases are not parsed here; convert
 them to one of these two layouts first (see the README recipe).
 """
@@ -28,9 +43,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from functools import partial
+from itertools import accumulate, chain, compress, islice, repeat
 
 import numpy as np
 
@@ -56,6 +71,11 @@ __all__ = [
 
 PAPERS_HEADER = ("paper_id", "pub_year", "title")
 CITATIONS_HEADER = ("paper_id", "year", "count")
+
+# Block sizes of the CSV readers (see the module docstring).  Splitting a
+# whole file at once nearly tripled the traced peak memory of a CSV parse.
+_BLOCK_CHARS = 1 << 16
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -83,58 +103,94 @@ def _decode(stream, what: str) -> str:
         raise ParseError(f"{what} data is not valid UTF-8: {exc}", f"{what} stream") from None
 
 
-def _bounded_int(text: str, lo: int, hi: int) -> int:
-    """``text`` as an integer in lo..hi: an optional '-', then ASCII digits only.
+def _cell_ints(cells, known: dict) -> np.ndarray:
+    """int64 values of integer cell texts, through ``known``: text -> value.
 
-    ``int`` alone would also take surrounding spaces, underscores and
-    non-ASCII digits.
+    Years and counts repeat, so each distinct text is read once.  A text
+    that is no integer of at most ten digits reads -1, which fails every
+    range the parsers check; the error path reads it again.
+    """
+    for text in set(cells).difference(known):
+        known[text] = -1 if _cell_error("", text, -(10**10), 10**10, "") else int(text)
+    return np.fromiter(map(known.__getitem__, cells), np.int64, len(cells))
+
+
+def _cell_error(what: str, text: str, lo: int, hi: int, locator: str, error=ParseError):
+    """The located error of a cell that is no integer in lo..hi, or None.
+
+    An integer is an optional '-', then ASCII digits only: ``int`` alone
+    would also take surrounding spaces, underscores and non-ASCII digits.
     """
     digits = text[1:] if text[:1] == "-" else text
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError("must be an integer")
+        return error(f"{what} must be an integer, got {text!r}", locator)
     if len(digits) > 10 or not lo <= int(text) <= hi:
-        raise ValueError(f"must lie in {lo}..{hi}")
-    return int(text)
+        return error(f"{what} must lie in {lo}..{hi}, got {text!r}", locator)
 
 
-class _IntCells(dict):
-    """Cell text -> value, for a column whose texts repeat (years, counts).
+def _csv_blocks(text: str, what: str, headers: tuple):
+    """The data rows of a CSV text with one of ``headers``, as blocks of columns.
 
-    A repeated text costs one lookup, and every row refers to one shared
-    int instead of holding its own cell string or int.
+    Yields per block a pair: the line numbers of its non-blank rows and
+    one sequence of cells per header field.  A bad header, the first row
+    with another field count, or malformed CSV raises a located error once
+    the rows before it have been yielded.  The rows are those
+    ``csv.reader`` gives.  A text without '"' and without a CR outside
+    CRLF has no quoting: its blocks of about ``_BLOCK_CHARS`` characters
+    are split at commas and line ends when every line has the header's
+    field count, and read by ``csv.reader`` when not.  Other text streams
+    through ``csv.reader`` in blocks of ``_BLOCK_ROWS`` rows.
     """
+    quoted = '"' in text or text.count("\r") != text.count("\r\n")
+    end = len(text) if quoted else text.find("\n") + 1 or len(text)
+    reader = csv.reader(io.StringIO(text[:end]))
+    rows, _, error = _read(reader, 1, what)
+    if error or not rows or tuple(rows[0]) not in headers:
+        raise error or MalformedHeaderError(f"{what} header must be {','.join(headers[0])}", f"{what} line 1")
+    width, line, limit = len(rows[0]), 1, csv.field_size_limit()
+    while quoted or end < len(text):
+        if quoted:
+            rows, numbers, error = _read(reader, _BLOCK_ROWS, what)
+            if not rows and not error:
+                return
+        else:
+            start, end, first = end, text.find("\n", end + _BLOCK_CHARS) + 1 or len(text), line
+            block = text[start:end].replace("\r\n", "\n").removesuffix("\n") + "\n"
+            line += block.count("\n")
+            # Rows align into columns when every line holds width - 1 commas (so
+            # none is blank); LF and ',' are single bytes in UTF-8.
+            codes = np.frombuffer(block.encode(), np.uint8)
+            commas = np.searchsorted(np.flatnonzero(codes == 44), np.flatnonzero(codes == 10))
+            if len(block) <= limit and (np.diff(commas, prepend=0) == width - 1).all():
+                cells = block.replace("\n", ",").split(",")
+                yield range(first + 1, line + 1), [cells[j:-1:width] for j in range(width)]
+                continue
+            rows, numbers, error = _read(csv.reader(io.StringIO(block)), None, what, first)
+        # Blank rows are skipped; the first row of another width ends the reading.
+        bad = [0 < len(row) != width for row in rows]
+        k = bad.index(True) if True in bad else len(rows)
+        if k < len(rows):
+            error = ParseError(f"expected {width} fields, got {len(rows[k])}", f"{what} line {numbers[k]}")
+        kept = list(filter(None, rows[:k]))
+        if kept:
+            yield list(compress(numbers[:k], rows[:k])), [[row[j] for row in kept] for j in range(width)]
+        if error:
+            raise error
 
-    def __init__(self, what: str, lo: int, hi: int, error=ParseError):
-        super().__init__()
-        self.what, self.lo, self.hi, self.error = what, lo, hi, error
 
-    def parse(self, cell: str, locate) -> int:
-        """The value of a text not seen before; a bad one raises ``error`` at ``locate()``."""
-        try:
-            value = self[cell] = _bounded_int(cell, self.lo, self.hi)
-        except ValueError as exc:
-            raise self.error(f"{self.what} {exc}, got {cell!r}", locate()) from None
-        return value
-
-
-class _CsvRows:
-    """Rows of a CSV text; :meth:`locator` names the line of the last row read.
-
-    Malformed CSV becomes a located ParseError.
-    """
-
-    def __init__(self, text: str, what: str):
-        self._reader = csv.reader(io.StringIO(text))
-        self._what = what
-
-    def __iter__(self):
-        try:
-            yield from self._reader
-        except csv.Error as exc:
-            raise ParseError(f"malformed CSV: {exc}", self.locator()) from None
-
-    def locator(self) -> str:
-        return f"{self._what} line {self._reader.line_num}"
+def _read(reader, size: int | None, what: str, line: int = 0):
+    """Up to ``size`` rows of ``reader``, the line number of each, and the
+    located error of a malformed row after them or None.  ``line`` counts
+    the lines before the reader's text."""
+    before, rows, error = line + reader.line_num, [], None
+    try:
+        rows.extend(islice(reader, size))  # extend keeps the rows read before an error
+    except csv.Error as exc:
+        error = ParseError(f"malformed CSV: {exc}", f"{what} line {line + reader.line_num}")
+    if line + reader.line_num - before == len(rows):
+        return rows, range(before + 1, before + 1 + len(rows)), error
+    # A quoted field spans a line per LF it holds.
+    return rows, list(accumulate((1 + "".join(row).count("\n") for row in rows), initial=before))[1:], error
 
 
 def _csv_text(header, rows) -> str:
@@ -154,18 +210,12 @@ def _csv_text(header, rows) -> str:
     return '"'.join(parts)
 
 
-@contextmanager
-def _repeats_first(row_paper: list[int], years: list[int], duplicate_error):
-    """Repeated (paper, year) rows are found once all rows are read, so a
-    parse error below such a repeat yields to it: the repeat comes first."""
-    try:
-        yield
-    except IngestError:
-        keys = np.array(row_paper, dtype=np.int64) << 14 | np.array(years, dtype=np.int64)
-        row = _first_duplicate(keys, np.argsort(keys, kind="stable"))
-        if row is None:
-            raise
-        raise duplicate_error(row) from None
+def _repeat_first(error, row_paper: np.ndarray, years: np.ndarray, duplicate_error):
+    """``error``, unless the rows read before it repeat a (paper, year): repeats
+    are found once all rows are read, so a parse error below one yields to it."""
+    keys = row_paper << 14 | years
+    row = _first_duplicate(keys, np.argsort(keys, kind="stable"))
+    return error if row is None else duplicate_error(row)
 
 
 def parse_corpus_csv(papers_file, citations_file, opts: IngestOptions | None = None) -> Corpus:
@@ -177,72 +227,93 @@ def parse_corpus_csv(papers_file, citations_file, opts: IngestOptions | None = N
     counts in 1..2**31 - 1, written as plain ASCII digits.
     """
     opts = opts or IngestOptions()
-
-    papers = _CsvRows(_decode(papers_file, "papers"), "papers")
-    rows = iter(papers)
-    header = next(rows, None)
-    if header is None or tuple(header) not in (PAPERS_HEADER, PAPERS_HEADER[:2]):
-        raise MalformedHeaderError(
-            f"papers header must be {','.join(PAPERS_HEADER)}", "papers line 1"
-        )
-    width = len(header)
+    known: dict[str, int] = {}
     index: dict[str, int] = {}
-    pub_years: list[int] = []
-    titles: list[str | None] = []
-    pub_cells = _IntCells("pub_year", _YEAR_MIN, _YEAR_MAX)
-    for row in rows:
-        if not row:
-            continue
-        if len(row) != width:
-            raise ParseError(f"expected {width} fields, got {len(row)}", papers.locator())
-        paper_id = row[0]
-        if not paper_id:
-            raise ParseError("paper_id must be non-empty", papers.locator())
-        if paper_id in index:
-            raise DuplicateIdError(paper_id, papers.locator())
-        pub_years.append(pub_cells.get(row[1]) or pub_cells.parse(row[1], papers.locator))
-        titles.append(row[2] if width == 3 and row[2] else None)
-        index[paper_id] = len(index)
-    ids = list(index)
+    pub_years, titles = [np.empty(0, np.int64)], []
+    papers = _csv_blocks(_decode(papers_file, "papers"), "papers", (PAPERS_HEADER, PAPERS_HEADER[:2]))
+    for numbers, (ids, pub_cells, *title_cells) in papers:
+        pub_year = _cell_ints(pub_cells, known)
+        bad_year = ((pub_year < _YEAR_MIN) | (pub_year > _YEAR_MAX)).tolist()
+        before = len(index)
+        index.update(zip(ids, range(before, before + len(ids))))
+        if len(index) < before + len(ids) or "" in index or True in bad_year:
+            # The first row with an empty id, an id seen before or a bad year.
+            seen = set(islice(index, before))
+            k = next(k for k, pid in enumerate(ids) if not pid or pid in seen or bad_year[k] or seen.add(pid))
+            locator = f"papers line {numbers[k]}"
+            if not ids[k]:
+                raise ParseError("paper_id must be non-empty", locator)
+            if ids[k] in seen:
+                raise DuplicateIdError(ids[k], locator)
+            raise _cell_error("pub_year", pub_cells[k], _YEAR_MIN, _YEAR_MAX, locator)
+        pub_years.append(pub_year)
+        titles += [title or None for title in title_cells[0]] if title_cells else [None] * len(ids)
 
-    citations_text = _decode(citations_file, "citations")
-    citations = _CsvRows(citations_text, "citations")
-    rows = iter(citations)
-    header = next(rows, None)
-    if header is None or tuple(header) != CITATIONS_HEADER:
-        raise MalformedHeaderError(
-            f"citations header must be {','.join(CITATIONS_HEADER)}", "citations line 1"
-        )
-    row_paper: list[int] = []
-    years: list[int] = []
-    counts: list[int] = []
-    year_cells = _IntCells("year", _YEAR_MIN, _YEAR_MAX)
-    count_cells = _IntCells("count", 1, _MAX_COUNT)
+    blocks = partial(_csv_blocks, _decode(citations_file, "citations"), "citations", (CITATIONS_HEADER,))
 
     def duplicate_error(row: int) -> DuplicateYearRowError:
-        again = _CsvRows(citations_text, "citations")
-        lines = (again.locator() for fields in again if fields)
-        locator = next(islice(lines, row + 1, None))  # the header is row 0
-        return DuplicateYearRowError(ids[row_paper[row]], years[row], locator)
+        line = next(islice((line for numbers, _ in blocks() for line in numbers), row, None))
+        paper_id = next(islice(index, int(row_paper[row]), None))
+        return DuplicateYearRowError(paper_id, int(years[row]), f"citations line {line}")
 
-    with _repeats_first(row_paper, years, duplicate_error):
-        for row in rows:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 3 fields, got {len(row)}", citations.locator())
-            paper = index.get(row[0])
-            if paper is None:
-                raise UnknownPaperIdError(row[0], citations.locator())
-            year = year_cells.get(row[1]) or year_cells.parse(row[1], citations.locator)
-            count = count_cells.get(row[2]) or count_cells.parse(row[2], citations.locator)
-            row_paper.append(paper)
-            years.append(year)
-            counts.append(count)
-
+    parts, error = [], None
+    try:
+        for numbers, (id_cells, year_cells, count_cells) in blocks():
+            paper = np.fromiter(map(index.get, id_cells, repeat(-1)), np.int64, len(id_cells))
+            year, count_ = _cell_ints(year_cells, known), _cell_ints(count_cells, known)
+            bad = (paper < 0) | (year < _YEAR_MIN) | (year > _YEAR_MAX) | (count_ < 1) | (count_ > _MAX_COUNT)
+            k = int(np.argmax(bad)) if bad.any() else len(bad)
+            parts.append((paper[:k], year[:k], count_[:k]))
+            if k < len(bad):
+                locator = f"citations line {numbers[k]}"
+                if paper[k] < 0:
+                    raise UnknownPaperIdError(id_cells[k], locator)
+                year_error = _cell_error("year", year_cells[k], _YEAR_MIN, _YEAR_MAX, locator)
+                raise year_error or _cell_error("count", count_cells[k], 1, _MAX_COUNT, locator)
+    except IngestError as exc:
+        error = exc
+    row_paper, years, counts = (np.concatenate(column) for column in zip(*parts, [np.empty(0, np.int64)] * 3))
+    if error:
+        raise _repeat_first(error, row_paper, years, duplicate_error)
     return _corpus_from_rows(
-        ids, pub_years, titles, row_paper, years, counts, opts.lenient_clamp, duplicate_error
+        index, np.concatenate(pub_years), titles, row_paper, years, counts, opts.lenient_clamp, duplicate_error
     )
+
+
+_JSON_KEYS = frozenset(("id", "pub_year", "title", "citations"))
+
+
+def _paper_error(obj, i: int, earlier_ids) -> Exception | None:
+    """The first failure of JSON paper ``i``, checked in document order."""
+    path = f"$[{i}]"
+    if not isinstance(obj, dict):
+        return SchemaError("paper entry must be an object", path)
+    unknown = set(obj) - _JSON_KEYS
+    if unknown:
+        return SchemaError(f"unknown keys {sorted(unknown)}", path)
+    for key in ("id", "pub_year", "citations"):
+        if key not in obj:
+            return SchemaError(f"missing required key {key!r}", path)
+    paper_id = obj["id"]
+    if not isinstance(paper_id, str) or not paper_id:
+        return SchemaError("id must be a non-empty string", f"{path}.id")
+    if paper_id in earlier_ids:
+        return DuplicateIdError(paper_id, f"{path}.id")
+    pub_year = obj["pub_year"]
+    if type(pub_year) is not int:
+        return SchemaError("pub_year must be an integer", f"{path}.pub_year")
+    if not _YEAR_MIN <= pub_year <= _YEAR_MAX:
+        return SchemaError(f"pub_year must lie in {_YEAR_MIN}..{_YEAR_MAX}", f"{path}.pub_year")
+    title = obj.get("title")
+    if title is not None and not isinstance(title, str):
+        return SchemaError("title must be a string or null", f"{path}.title")
+    if not isinstance(obj["citations"], dict):
+        return SchemaError("citations must be an object", f"{path}.citations")
+    for key, value in obj["citations"].items():
+        locator = f"{path}.citations.{key}"
+        error = _cell_error("citation year keys", key, _YEAR_MIN, _YEAR_MAX, locator, SchemaError)
+        if error or not (type(value) is int and 0 < value <= _MAX_COUNT):
+            return error or SchemaError(_count_error(value), locator)
 
 
 def parse_corpus_json(stream, opts: IngestOptions | None = None) -> Corpus:
@@ -259,62 +330,45 @@ def parse_corpus_json(stream, opts: IngestOptions | None = None) -> Corpus:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", f"line {exc.lineno}") from None
+    del text
     if not isinstance(data, list):
         raise SchemaError("top level must be an array of paper objects", "$")
 
+    # ``end`` is the first paper that fails a check: a check of the paper
+    # alone, or of the first bad row.  Only that paper is checked in order.
     index: dict[str, int] = {}
-    pub_years: list[int] = []
-    titles: list[str | None] = []
-    row_paper: list[int] = []
-    years: list[int] = []
-    counts: list[int] = []
-    year_keys = _IntCells("citation year keys", _YEAR_MIN, _YEAR_MAX, SchemaError)
+    valid = [
+        type(obj) is dict and obj.keys() <= _JSON_KEYS
+        and type(obj.get("id")) is str and obj["id"] != "" and index.setdefault(obj["id"], i) == i
+        and type(obj.get("pub_year")) is int and _YEAR_MIN <= obj["pub_year"] <= _YEAR_MAX
+        and type(obj.get("title")) in (str, type(None)) and type(obj.get("citations")) is dict
+        for i, obj in enumerate(data)
+    ]
+    end = valid.index(False) if False in valid else len(data)
+    citations = [obj["citations"] for obj in data[:end]]
+    row_paper = np.repeat(np.arange(end), np.fromiter(map(len, citations), np.int64, end))
+    keys = list(chain.from_iterable(citations))
+    values = list(chain.from_iterable(map(dict.values, citations)))
+    years = _cell_ints(keys, {})
+    bad = (years < _YEAR_MIN) | (years > _YEAR_MAX)
+    bad |= np.array([type(value) is not int or not 0 < value <= _MAX_COUNT for value in values], dtype=bool)
+    rows = int(np.argmax(bad)) if bad.any() else len(keys)
 
     def duplicate_error(row: int) -> SchemaError:
-        paper = row_paper[row]
-        key = list(data[paper]["citations"])[row - row_paper.index(paper)]
-        return SchemaError("duplicate citation year", f"$[{paper}].citations.{key}")
+        return SchemaError("duplicate citation year", f"$[{row_paper[row]}].citations.{keys[row]}")
 
-    with _repeats_first(row_paper, years, duplicate_error):
-        for i, obj in enumerate(data):
-            path = f"$[{i}]"
-            if not isinstance(obj, dict):
-                raise SchemaError("paper entry must be an object", path)
-            unknown = set(obj) - {"id", "pub_year", "title", "citations"}
-            if unknown:
-                raise SchemaError(f"unknown keys {sorted(unknown)}", path)
-            for key in ("id", "pub_year", "citations"):
-                if key not in obj:
-                    raise SchemaError(f"missing required key {key!r}", path)
-            paper_id = obj["id"]
-            if not isinstance(paper_id, str) or not paper_id:
-                raise SchemaError("id must be a non-empty string", f"{path}.id")
-            if paper_id in index:
-                raise DuplicateIdError(paper_id, f"{path}.id")
-            pub_year = obj["pub_year"]
-            if type(pub_year) is not int:
-                raise SchemaError("pub_year must be an integer", f"{path}.pub_year")
-            if not _YEAR_MIN <= pub_year <= _YEAR_MAX:
-                raise SchemaError(f"pub_year must lie in {_YEAR_MIN}..{_YEAR_MAX}", f"{path}.pub_year")
-            title = obj.get("title")
-            if title is not None and not isinstance(title, str):
-                raise SchemaError("title must be a string or null", f"{path}.title")
-            citations = obj["citations"]
-            if not isinstance(citations, dict):
-                raise SchemaError("citations must be an object", f"{path}.citations")
-            for key, value in citations.items():
-                year = year_keys.get(key) or year_keys.parse(key, lambda: f"{path}.citations.{key}")
-                if type(value) is not int or not 0 < value <= _MAX_COUNT:
-                    raise SchemaError(_count_error(value), f"{path}.citations.{key}")
-                row_paper.append(i)
-                years.append(year)
-                counts.append(value)
-            index[paper_id] = i
-            pub_years.append(pub_year)
-            titles.append(title)
-
+    if rows < len(keys) or end < len(data):
+        end = int(row_paper[rows]) if rows < len(keys) else end
+        error = _paper_error(data[end], end, set(islice(index, end)))
+        if isinstance(error, IngestError):
+            error = _repeat_first(error, row_paper[:rows], years[:rows], duplicate_error)
+        raise error
+    pub_year = np.array([obj["pub_year"] for obj in data], dtype=np.int64)
+    titles = [obj.get("title") for obj in data]
+    counts = np.fromiter(values, np.int64, len(values))
+    del data, citations, values, valid  # the store build reuses their memory
     return _corpus_from_rows(
-        list(index), pub_years, titles, row_paper, years, counts, opts.lenient_clamp, duplicate_error
+        index, pub_year, titles, row_paper, years, counts, opts.lenient_clamp, duplicate_error
     )
 
 

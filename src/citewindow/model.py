@@ -20,7 +20,6 @@ In a validated corpus, years lie in 1000..9999 and counts in
 
 from __future__ import annotations
 
-import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -94,14 +93,6 @@ def _canonical_citations(entries) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _deprecated(name: str) -> None:
-    warnings.warn(
-        f"{name} is deprecated and will be removed; the library no longer uses it",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 @dataclass(frozen=True)
 class PaperRecord:
     """One publication: identity, publication year and per-year citations.
@@ -122,29 +113,11 @@ class PaperRecord:
         if self.title == "":
             object.__setattr__(self, "title", None)
 
-    @property
-    def citations_by_year(self) -> dict[int, int]:
-        """Deprecated: ``dict(paper.citations)`` gives the same mapping."""
-        _deprecated("PaperRecord.citations_by_year")
-        return dict(self.citations)
-
     def total_citations(self, ref_year: int | None = None) -> int:
         """Citations received in all years up to ``ref_year`` (all years if None)."""
         if ref_year is None:
             return sum(count for _, count in self.citations)
         return sum(count for year, count in self.citations if year <= ref_year)
-
-    def last_citation_year(self, ref_year: int | None = None) -> int | None:
-        """Most recent year with a citation (clipped at ref_year), or None.
-
-        Deprecated: the library no longer uses it.
-        """
-        _deprecated("PaperRecord.last_citation_year")
-        last = None
-        for year, _ in self.citations:
-            if ref_year is None or year <= ref_year:
-                last = year
-        return last
 
 
 @dataclass(frozen=True)
@@ -366,26 +339,29 @@ def _first_duplicate(keys: np.ndarray, order: np.ndarray) -> int | None:
 
 
 def _corpus_from_rows(
-    ids, pub_year, titles, row_paper, years, counts, lenient=False, duplicate_error=None
+    index, pub_year, titles, row_paper, years, counts, lenient=False, duplicate_error=None
 ) -> Corpus:
     """Check the columns of parsed or given papers and store them as a :class:`Corpus`.
 
-    Papers come in input (file) order; citation rows come in any order,
-    ``row_paper`` giving each row's paper index.  A repeated (paper, year)
-    row raises ``duplicate_error(row)`` for the first repeat in row order.
-    Otherwise the first violation in paper order, at the paper's earliest
-    bad year, raises: a publication year or citation year outside
-    1000..9999 or a count outside 1..2**31 - 1 (:class:`InvalidRangeError`,
-    :class:`NegativeCountError` for a negative count), or a citation before
-    publication (:class:`CitationBeforePublicationError`).  With
-    ``lenient`` those citations move to the publication year instead and
-    merge with the rows already there.
+    ``index`` maps each paper id to its position in input (file) order, in
+    that order, and the other paper columns follow it; citation rows come
+    in any order, ``row_paper`` giving each row's paper position.  A
+    repeated (paper, year) row raises ``duplicate_error(row)`` for the
+    first repeat in row order.  Otherwise the first violation in paper
+    order, at the paper's earliest bad year, raises: a publication year or
+    citation year outside 1000..9999 or a count outside 1..2**31 - 1
+    (:class:`InvalidRangeError`, :class:`NegativeCountError` for a negative
+    count), or a citation before publication
+    (:class:`CitationBeforePublicationError`).  With ``lenient`` those
+    citations move to the publication year instead and merge with the
+    rows already there.
     """
     pub_year = np.asarray(pub_year, dtype=np.int64)
     row_paper = np.asarray(row_paper, dtype=np.int64)
     years = np.asarray(years, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
-    id_order = sorted(range(len(ids)), key=ids.__getitem__)
+    ids = sorted(index)
+    id_order = np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
     rank = np.empty(len(ids), dtype=np.int64)
     rank[id_order] = np.arange(len(ids))
     # Callers pass years in 0..2**14 - 1 (out-of-range ones clipped to
@@ -403,7 +379,7 @@ def _corpus_from_rows(
     if not lenient:
         bad_row |= years < published
     if bad_paper.any() or bad_row.any():
-        _raise_first_violation(ids, pub_year, bad_paper, row_paper, years, counts, bad_row)
+        _raise_first_violation(list(index), pub_year, bad_paper, row_paper, years, counts, bad_row)
 
     if lenient:
         years = np.maximum(years, published)
@@ -418,12 +394,12 @@ def _corpus_from_rows(
     offsets = np.zeros(len(ids) + 1, dtype=np.int64)
     np.cumsum(np.bincount(rank[row_paper], minlength=len(ids)), out=offsets[1:])
     return Corpus._from_columns(
-        [ids[i] for i in id_order],
+        ids,
         pub_year[id_order],
         offsets,
         years[order],
         counts,
-        [titles[i] for i in id_order],
+        np.fromiter(titles, object, len(ids))[id_order],
     )
 
 
@@ -467,23 +443,18 @@ def validate_corpus(papers: Iterable[PaperRecord]) -> Corpus:
     which parsers and exporters accept but analysis operations reject.
     """
     records = list(papers)
-    seen: set[str] = set()
+    index: dict[str, int] = {}
     for i, paper in enumerate(records):
-        if paper.id in seen:
+        if paper.id in index:
             # Papers before the repeat may break other rules first.
             validate_corpus(records[:i])
             raise DuplicateIdError(paper.id)
-        seen.add(paper.id)
+        index[paper.id] = i
     rows = [
         (i, _clip(year, _YEAR_MIN, _YEAR_MAX), _clip(count, -1, _MAX_COUNT))
         for i, p in enumerate(records)
         for year, count in p.citations
     ]
-    return _corpus_from_rows(
-        [p.id for p in records],
-        [_clip(p.pub_year, _YEAR_MIN, _YEAR_MAX) for p in records],
-        [p.title for p in records],
-        [i for i, _, _ in rows],
-        [year for _, year, _ in rows],
-        [count for _, _, count in rows],
-    )
+    row_paper, years, counts = zip(*rows) if rows else ((), (), ())
+    pub_year = [_clip(p.pub_year, _YEAR_MIN, _YEAR_MAX) for p in records]
+    return _corpus_from_rows(index, pub_year, [p.title for p in records], row_paper, years, counts)

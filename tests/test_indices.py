@@ -360,6 +360,12 @@ class TestContemporaryH:
             with pytest.raises(InvalidRangeError):
                 contemporary_h(toy_corpus, 2005, gamma=gamma, delta=delta)
 
+    @pytest.mark.parametrize("y", [999, 10000, 10**20, -(10**20)])
+    def test_year_outside_bounds_rejected(self, toy_corpus, y):
+        # Years beyond int64 used to escape as numpy's OverflowError.
+        with pytest.raises(InvalidRangeError, match="1000..9999"):
+            contemporary_h(toy_corpus, y, interpolated=True)
+
     @given(small_corpora(), st.integers(-2, 12))
     @settings(max_examples=80)
     def test_undiscounted_equals_career_window(self, corpus, y_offset):

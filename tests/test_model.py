@@ -59,21 +59,10 @@ class TestPaperRecord:
     def test_empty_title_is_none(self):
         assert PaperRecord("P", 2000, title="").title is None
 
-    def test_totals_and_last_year(self):
+    def test_totals(self):
         paper = PaperRecord("P", 2000, {2000: 1, 2001: 3, 2003: 2})
         assert paper.total_citations() == 6
         assert paper.total_citations(2001) == 4
-        with pytest.deprecated_call():
-            assert paper.last_citation_year() == 2003
-        with pytest.deprecated_call():
-            assert paper.last_citation_year(2002) == 2001
-        with pytest.deprecated_call():
-            assert PaperRecord("Q", 2000).last_citation_year() is None
-
-    def test_citations_by_year_is_deprecated(self):
-        paper = PaperRecord("P", 2000, {2003: 2, 2000: 1})
-        with pytest.deprecated_call():
-            assert paper.citations_by_year == {2000: 1, 2003: 2}
 
 
 class TestValidateCorpus:
