@@ -154,7 +154,7 @@ def rank_citations(
         return RankedCitations(())
     counts = corpus._dense.window_counts(pub_window, cite_window)
     ordered = np.sort(counts)[::-1]
-    return RankedCitations(tuple(int(c) for c in ordered))
+    return RankedCitations(tuple(ordered.tolist()))
 
 
 def _as_ranked(c) -> RankedCitations:
@@ -242,7 +242,8 @@ def timed_h(corpus: Corpus, y: int, t: int, interpolated: bool = False) -> Index
 
 
 # Most entries (cells x combined column width) one chunk may hold, so
-# that a chunk's int64 temporaries stay near 100 KB.
+# that a chunk's temporaries (two gathered prefix blocks and their
+# difference) stay near 50 KB, or 100 KB once the cache is int64.
 _CHUNK_ELEMENTS = 4096
 
 

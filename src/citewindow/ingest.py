@@ -316,6 +316,30 @@ def _paper_error(obj, i: int, earlier_ids) -> Exception | None:
             return error or SchemaError(_count_error(value), locator)
 
 
+def _paper_columns(data):
+    """(id -> position, pub_year, title, citations) columns of the JSON
+    papers ``data``, or None when some paper fails a check of its own or
+    repeats an id.  Each check covers a whole column at once."""
+    if set(map(type, data)) - {dict} or set().union(*data) - _JSON_KEYS:
+        return None
+    ids, pub_years, titles, citations = (
+        [obj.get(key) for obj in data] for key in ("id", "pub_year", "title", "citations")
+    )
+    if set(map(type, ids)) - {str} or not all(ids):
+        return None
+    index = dict(zip(ids, range(len(ids))))
+    if (
+        len(index) < len(ids)
+        or set(map(type, pub_years)) - {int}
+        or min(pub_years, default=_YEAR_MIN) < _YEAR_MIN
+        or max(pub_years, default=_YEAR_MAX) > _YEAR_MAX
+        or set(map(type, titles)) - {str, type(None)}
+        or set(map(type, citations)) - {dict}
+    ):
+        return None
+    return index, pub_years, titles, citations
+
+
 def parse_corpus_json(stream, opts: IngestOptions | None = None) -> Corpus:
     """Parse the JSON array format into a validated corpus.
 
@@ -336,16 +360,22 @@ def parse_corpus_json(stream, opts: IngestOptions | None = None) -> Corpus:
 
     # ``end`` is the first paper that fails a check: a check of the paper
     # alone, or of the first bad row.  Only that paper is checked in order.
-    index: dict[str, int] = {}
-    valid = [
-        type(obj) is dict and obj.keys() <= _JSON_KEYS
-        and type(obj.get("id")) is str and obj["id"] != "" and index.setdefault(obj["id"], i) == i
-        and type(obj.get("pub_year")) is int and _YEAR_MIN <= obj["pub_year"] <= _YEAR_MAX
-        and type(obj.get("title")) in (str, type(None)) and type(obj.get("citations")) is dict
-        for i, obj in enumerate(data)
-    ]
-    end = valid.index(False) if False in valid else len(data)
-    citations = [obj["citations"] for obj in data[:end]]
+    # The per-paper pass runs only once a column check has failed.
+    columns = _paper_columns(data)
+    if columns is None:
+        index: dict[str, int] = {}
+        valid = [
+            type(obj) is dict and obj.keys() <= _JSON_KEYS
+            and type(obj.get("id")) is str and obj["id"] != "" and index.setdefault(obj["id"], i) == i
+            and type(obj.get("pub_year")) is int and _YEAR_MIN <= obj["pub_year"] <= _YEAR_MAX
+            and type(obj.get("title")) in (str, type(None)) and type(obj.get("citations")) is dict
+            for i, obj in enumerate(data)
+        ]
+        end = valid.index(False)
+        citations = [obj["citations"] for obj in data[:end]]
+    else:
+        index, pub_years, titles, citations = columns
+        end = len(data)
     row_paper = np.repeat(np.arange(end), np.fromiter(map(len, citations), np.int64, end))
     keys = list(chain.from_iterable(citations))
     values = list(chain.from_iterable(map(dict.values, citations)))
@@ -363,10 +393,9 @@ def parse_corpus_json(stream, opts: IngestOptions | None = None) -> Corpus:
         if isinstance(error, IngestError):
             error = _repeat_first(error, row_paper[:rows], years[:rows], duplicate_error)
         raise error
-    pub_year = np.array([obj["pub_year"] for obj in data], dtype=np.int64)
-    titles = [obj.get("title") for obj in data]
+    pub_year = np.array(pub_years, dtype=np.int64)
     counts = np.fromiter(values, np.int64, len(values))
-    del data, citations, values, valid  # the store build reuses their memory
+    del data, columns, pub_years, citations, values  # the store build reuses their memory
     return _corpus_from_rows(
         index, pub_year, titles, row_paper, years, counts, opts.lenient_clamp, duplicate_error
     )

@@ -15,7 +15,9 @@ after construction; a :class:`Corpus` can be shared freely between
 threads or workers.
 
 In a validated corpus, years lie in 1000..9999 and counts in
-1..2**31 - 1, so no per-paper or per-window sum can overflow int64.
+1..2**31 - 1, so no per-paper or per-window sum can overflow int64.  The
+count cache holds int32 sums instead whenever every paper's total fits
+(see :class:`_DenseCounts`).
 """
 
 from __future__ import annotations
@@ -181,6 +183,11 @@ class _DenseCounts:
     window is a column slice.  ``prefix[j]`` holds, per paper, the
     citations in ``years[:j]``, so any inclusive year window reduces to
     one row subtraction.  Built lazily, once per corpus.
+
+    ``prefix`` is int32 when no paper's total exceeds 2**31 - 1, and int64
+    otherwise.  The bound is exact: every prefix entry, and so every
+    window count, is a partial sum of one paper's citations.  Readers take
+    Python ints out of it, so the dtype changes no result.
     """
 
     def __init__(self, corpus: "Corpus"):
@@ -188,9 +195,11 @@ class _DenseCounts:
         column = np.empty_like(order)
         column[order] = np.arange(order.size)
         years, rows = np.unique(corpus._years, return_inverse=True)
-        self.prefix = np.zeros((years.size + 1, order.size), dtype=np.int64)
+        fits = corpus._totals().max(initial=0) <= np.iinfo(np.int32).max
+        dtype = np.int32 if fits else np.int64
+        self.prefix = np.zeros((years.size + 1, order.size), dtype=dtype)
         self.prefix[rows + 1, column[corpus._row_paper]] = corpus._counts
-        np.cumsum(self.prefix, axis=0, out=self.prefix)
+        np.cumsum(self.prefix, axis=0, dtype=dtype, out=self.prefix)
         # Lists, because bisect on them is much cheaper per query than np.searchsorted.
         self.years = years.tolist()
         self.pub_years = corpus._pub_year[order].tolist()

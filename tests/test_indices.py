@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -286,6 +287,69 @@ class TestEvolutionTable:
             for a, b in zip(column, column[1:]):
                 assert a.h <= b.h
                 assert a.h_interp <= b.h_interp
+
+
+def brute_force_value(counts) -> IndexValue:
+    """h and its interpolation (c(h) + h·d) / (1 + d), d = c(h) - c(h + 1),
+    read from the sorted counts."""
+    ordered = sorted(counts, reverse=True) + [0]
+    h = brute_force_h(counts)
+    if h == 0:
+        return IndexValue(0, Fraction(0))
+    d = ordered[h - 1] - ordered[h]
+    return IndexValue(h, Fraction(ordered[h - 1] + h * d, 1 + d))
+
+
+class TestCountCacheDtype:
+    """The count cache is int32 exactly while every paper's total fits in it."""
+
+    @staticmethod
+    def corpus(top: int):
+        return validate_corpus(
+            [
+                PaperRecord("big", 2000, {2000: 2**30, 2001: top - 2**30}),
+                PaperRecord("near", 2001, {2001: 2**30, 2003: 2**30 - 1}),
+                PaperRecord("b", 2000, {2001: 3, 2003: 2}),
+                PaperRecord("c", 2001, {2002: 4}),
+                PaperRecord("d", 2002, {2002: 1, 2004: 2}),
+            ]
+        )
+
+    @staticmethod
+    def window_counts(corpus, pub, cite):
+        return [
+            sum(count for year, count in p.citations if year in cite)
+            for p in corpus.papers
+            if p.pub_year in pub
+        ]
+
+    @pytest.mark.parametrize(
+        "top, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)], ids=["int32", "int64"]
+    )
+    def test_matches_brute_force_on_both_sides(self, top, dtype):
+        corpus = self.corpus(top)
+        pubs = [YearWindow.through(2004), YearWindow(2000, 2000), YearWindow(2001, 2003)]
+        cites = pubs + [YearWindow(2001, 2001), YearWindow(2002, 2004), YearWindow.through(2000)]
+        for pub in pubs:
+            for cite in cites:
+                counts = self.window_counts(corpus, pub, cite)
+                expected = brute_force_value(counts)
+                assert windowed_h(corpus, pub, cite) == IndexValue(expected.h)
+                assert windowed_h(corpus, pub, cite, interpolated=True) == expected
+                ranked = rank_citations(corpus, pub, cite).values
+                assert ranked == tuple(sorted(counts, reverse=True))
+                assert all(type(value) is int for value in ranked)
+        for y in range(2000, 2005):
+            for t in range(5):
+                window = YearWindow(y - t, y)
+                expected = brute_force_value(self.window_counts(corpus, window, window))
+                assert timed_h(corpus, y, t, interpolated=True) == expected
+        table = evolution_table(corpus, [0, 1, 2, ALL], interpolated=True)
+        for t, row in zip(table.t_values, table.values):
+            for y, value in zip(table.years, row):
+                window = YearWindow(corpus.y0 if t is ALL else y - t, y)
+                assert value == brute_force_value(self.window_counts(corpus, window, window))
+        assert corpus._dense.prefix.dtype == dtype
 
 
 class TestH5Index:
