@@ -26,13 +26,19 @@ report exactly what a row-by-row reader would: the first break in the
 files (papers before citations), with a repeated (paper, year) row
 winning over a parse error below it.
 
-CSV text without '"' and without a CR outside CRLF has no quoting, so it
-is cut at line ends into blocks of about ``_BLOCK_CHARS`` (64 Ki)
-characters, and a block whose every line has the header's field count
-is split at commas and line ends.  Other blocks, and all other text, go
-through ``csv.reader``, the latter in blocks of ``_BLOCK_ROWS`` rows.
-Integer cells are read through one dict of their distinct texts.  Only
-one block's cells are alive at a time.
+CSV files are read from their bytes.  A file without '"' and without a
+CR outside CRLF has no quoting, so it is cut at line ends into blocks of
+about ``_BLOCK_CHARS`` (64 Ki) bytes.  A block whose every line has the
+header's field count is read with numpy, without a Python string per
+cell: year, count and pub_year cells go through one digit kernel
+(``_digits``), and runs of equal paper ids, found by comparing each id
+with the one above it, are decoded and looked up once per run.  Other
+blocks (blank lines, a bad field count, an overlong field), and every
+quoted file, go through ``csv.reader``, quoted files in blocks of
+``_BLOCK_ROWS`` rows; there integer cells are read through one dict of
+their distinct texts.  Either way, only one block is alive at a time.
+Text input is read from its UTF-8 encoding, or by ``csv.reader`` when
+it holds a lone surrogate, which has none.
 
 Raw exports from bibliographic databases are not parsed here; convert
 them to one of these two layouts first (see the README recipe).
@@ -72,8 +78,9 @@ __all__ = [
 PAPERS_HEADER = ("paper_id", "pub_year", "title")
 CITATIONS_HEADER = ("paper_id", "year", "count")
 
-# Block sizes of the CSV readers (see the module docstring).  Splitting a
-# whole file at once nearly tripled the traced peak memory of a CSV parse.
+# Block sizes of the CSV readers (see the module docstring); _BLOCK_CHARS
+# counts bytes.  Splitting a whole file at once nearly tripled the traced
+# peak memory of a CSV parse.
 _BLOCK_CHARS = 1 << 16
 _BLOCK_ROWS = 4096
 
@@ -90,15 +97,17 @@ class IngestOptions:
     lenient_clamp: bool = False
 
 
-def _decode(stream, what: str) -> str:
-    if hasattr(stream, "read"):
-        data = stream.read()
-    else:
-        data = stream
+def _content(stream) -> bytes | str:
+    """The content of ``stream``: bytes, text, or a stream of either."""
+    data = stream.read() if hasattr(stream, "read") else stream
+    return data if isinstance(data, str) else bytes(data)
+
+
+def _decode(data: bytes | str, what: str) -> str:
     if isinstance(data, str):
         return data
     try:
-        return bytes(data).decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{what} data is not valid UTF-8: {exc}", f"{what} stream") from None
 
@@ -107,11 +116,11 @@ def _cell_ints(cells, known: dict) -> np.ndarray:
     """int64 values of integer cell texts, through ``known``: text -> value.
 
     Years and counts repeat, so each distinct text is read once.  A text
-    that is no integer of at most ten digits reads -1, which fails every
-    range the parsers check; the error path reads it again.
+    that is not 1 to 10 ASCII digits reads -1, which fails every range the
+    parsers check; the error path reads it again.
     """
     for text in set(cells).difference(known):
-        known[text] = -1 if _cell_error("", text, -(10**10), 10**10, "") else int(text)
+        known[text] = int(text) if len(text) <= 10 and text.isascii() and text.isdigit() else -1
     return np.fromiter(map(known.__getitem__, cells), np.int64, len(cells))
 
 
@@ -128,44 +137,116 @@ def _cell_error(what: str, text: str, lo: int, hi: int, locator: str, error=Pars
         return error(f"{what} must lie in {lo}..{hi}, got {text!r}", locator)
 
 
-def _csv_blocks(text: str, what: str, headers: tuple):
-    """The data rows of a CSV text with one of ``headers``, as blocks of columns.
+# Place values of a right-aligned window of up to 10 digits.
+_POWERS = 10 ** np.arange(9, -1, -1, dtype=np.int64)
 
-    Yields per block a pair: the line numbers of its non-blank rows and
-    one sequence of cells per header field.  A bad header, the first row
-    with another field count, or malformed CSV raises a located error once
-    the rows before it have been yielded.  The rows are those
-    ``csv.reader`` gives.  A text without '"' and without a CR outside
-    CRLF has no quoting: its blocks of about ``_BLOCK_CHARS`` characters
-    are split at commas and line ends when every line has the header's
-    field count, and read by ``csv.reader`` when not.  Other text streams
-    through ``csv.reader`` in blocks of ``_BLOCK_ROWS`` rows.
+
+def _digits(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """int64 value of every field ``codes[start:end]`` of 1 to 10 ASCII
+    digits, and -1 of any other field.
+
+    Each field is read through a right-aligned window as wide as the
+    longest field (at most 10 bytes), whose bytes before the field's start
+    count as 0.  That field and its separator lie in ``codes``, so every
+    index stays in range (a negative one wraps).
     """
-    quoted = '"' in text or text.count("\r") != text.count("\r\n")
-    end = len(text) if quoted else text.find("\n") + 1 or len(text)
-    reader = csv.reader(io.StringIO(text[:end]))
+    sizes = ends - starts
+    back = np.arange(min(int(sizes.max(initial=0)), 10), 0, -1)[:, None]
+    window = codes[ends - back] - np.uint8(48)  # bytes below '0' wrap past 9
+    window *= back <= sizes
+    value = _POWERS[len(_POWERS) - len(back) :] @ window
+    return np.where((window.max(axis=0, initial=0) <= 9) & (sizes > 0) & (sizes <= 10), value, -1)
+
+
+def _texts(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
+    """The fields ``codes[start:end]``, decoded, where every field ends at a ',' or LF."""
+    sizes = ends - starts + 1  # each field with its separator
+    cut = codes[np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)]
+    return cut.tobytes().replace(b"\n", b",").decode().split(",")[:-1]
+
+
+# Masks of the first 0..8 bytes of a little-endian 8-byte word.
+_WORD_MASKS = np.array([(1 << 8 * size) - 1 for size in range(9)], np.uint64)
+
+
+def _runs(block: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first field and the length of each run of equal fields ``block[start:end]``.
+
+    Two fields are equal when their sizes are and so is each 8-byte word
+    of them, masked to the field: exact for any bytes, NUL included.
+    """
+    sizes = ends - starts
+    same = sizes[1:] == sizes[:-1]
+    longest = int(sizes.max(initial=0))
+    # Every word read starts before len(block) + longest; the padding holds it.
+    words = np.ndarray((len(block) + longest + 1,), "<u8", block + bytes(longest + 8), strides=(1,))
+    for at in range(0, longest, 8):
+        word = words[starts + at]
+        mask = _WORD_MASKS[np.minimum(np.maximum(sizes[1:] - at, 0), 8)]
+        same &= (word[1:] ^ word[:-1]) & mask == 0
+    bounds = np.concatenate(([True], ~same, [True])).nonzero()[0]
+    return bounds[:-1], bounds[1:] - bounds[:-1]
+
+
+def _csv_blocks(data: bytes | str, what: str, headers: tuple, ints=()):
+    """The data rows of a CSV file with one of ``headers``, as blocks of columns.
+
+    ``data`` is the file's bytes, which must be UTF-8, or its text.
+    Yields per block a tuple (numbers, (texts, lengths), columns, row):
+
+    - ``numbers``: the line numbers of its non-blank rows;
+    - field 0 as runs: the block's rows are ``lengths[i]`` copies of
+      ``texts[i]`` in turn;
+    - ``columns``: the other fields, those at the positions in ``ints``
+      as int64 values (-1 for a cell that is not 1 to 10 ASCII digits),
+      the others as lists of texts;
+    - ``row(k)``: the texts of row k.
+
+    A bad header, the first row with another field count, or malformed
+    CSV raises a located error once the rows before it have been yielded.
+    The rows are those ``csv.reader`` gives.  A text without '"' and
+    without a CR outside CRLF has no quoting: its blocks of about
+    ``_BLOCK_CHARS`` bytes are read from the bytes when every line has the
+    header's field count, and by ``csv.reader`` when not.  Other text
+    streams through ``csv.reader`` in blocks of ``_BLOCK_ROWS`` rows, as
+    does a text holding a lone surrogate, which has no UTF-8 bytes.
+    """
+    text = _decode(data, what)
+    if isinstance(data, str):
+        try:
+            data = text.encode()
+        except UnicodeEncodeError:
+            data = None
+    quoted = data is None or b'"' in data or data.count(b"\r") != data.count(b"\r\n")
+    end = 0 if quoted else data.find(b"\n") + 1 or len(data)
+    reader = csv.reader(io.StringIO(text if quoted else data[:end].decode()))
+    del text
     rows, _, error = _read(reader, 1, what)
     if error or not rows or tuple(rows[0]) not in headers:
         raise error or MalformedHeaderError(f"{what} header must be {','.join(headers[0])}", f"{what} line 1")
-    width, line, limit = len(rows[0]), 1, csv.field_size_limit()
-    while quoted or end < len(text):
+    width, line, limit, known = len(rows[0]), 1, csv.field_size_limit(), {}
+    # Which separators of a line of ``width`` fields are its LF.
+    line_ends = np.arange(width) == width - 1
+    while quoted or end < len(data):
         if quoted:
             rows, numbers, error = _read(reader, _BLOCK_ROWS, what)
             if not rows and not error:
                 return
         else:
-            start, end, first = end, text.find("\n", end + _BLOCK_CHARS) + 1 or len(text), line
-            block = text[start:end].replace("\r\n", "\n").removesuffix("\n") + "\n"
-            line += block.count("\n")
-            # Rows align into columns when every line holds width - 1 commas (so
-            # none is blank); LF and ',' are single bytes in UTF-8.
-            codes = np.frombuffer(block.encode(), np.uint8)
-            commas = np.searchsorted(np.flatnonzero(codes == 44), np.flatnonzero(codes == 10))
-            if len(block) <= limit and (np.diff(commas, prepend=0) == width - 1).all():
-                cells = block.replace("\n", ",").split(",")
-                yield range(first + 1, line + 1), [cells[j:-1:width] for j in range(width)]
+            start, end, first = end, data.find(b"\n", end + _BLOCK_CHARS) + 1 or len(data), line
+            block = data[start:end].replace(b"\r\n", b"\n")
+            block += b"" if block.endswith(b"\n") else b"\n"
+            line += block.count(b"\n")
+            # Rows align into columns when the separators run as width - 1
+            # commas and an LF, line after line, so no line is blank.  LF
+            # and ',' are single bytes in UTF-8, found in no other character.
+            codes = np.frombuffer(block, np.uint8)
+            seps = ((codes == 44) | (codes == 10)).nonzero()[0]
+            lf = codes[seps] == 10
+            if len(block) <= limit and lf.size % width == 0 and (lf.reshape(-1, width) == line_ends).all():
+                yield range(first + 1, line + 1), *_byte_columns(block, codes, seps, width, ints)
                 continue
-            rows, numbers, error = _read(csv.reader(io.StringIO(block)), None, what, first)
+            rows, numbers, error = _read(csv.reader(io.StringIO(block.decode())), None, what, first)
         # Blank rows are skipped; the first row of another width ends the reading.
         bad = [0 < len(row) != width for row in rows]
         k = bad.index(True) if True in bad else len(rows)
@@ -173,9 +254,29 @@ def _csv_blocks(text: str, what: str, headers: tuple):
             error = ParseError(f"expected {width} fields, got {len(rows[k])}", f"{what} line {numbers[k]}")
         kept = list(filter(None, rows[:k]))
         if kept:
-            yield list(compress(numbers[:k], rows[:k])), [[row[j] for row in kept] for j in range(width)]
+            columns = [_cell_ints(cells, known) if j in ints else cells for j, cells in enumerate(zip(*kept))]
+            runs = (columns.pop(0), np.ones(len(kept), np.int64))
+            yield list(compress(numbers[:k], rows[:k])), runs, columns, kept.__getitem__
         if error:
             raise error
+
+
+def _byte_columns(block: bytes, codes: np.ndarray, seps: np.ndarray, width: int, ints) -> tuple:
+    """The (texts, lengths), columns and row of a block of aligned rows:
+    see :func:`_csv_blocks`.  ``seps`` are the offsets of its separators."""
+    starts = np.concatenate(([0], seps[:-1] + 1))
+    first, lengths = _runs(block, starts[::width], seps[::width])
+    texts = _texts(codes, starts[::width][first], seps[::width][first])
+    values = {}
+    if ints:
+        fields = [np.concatenate([bounds[j::width] for j in ints]) for bounds in (starts, seps)]
+        values = dict(zip(ints, _digits(codes, *fields).reshape(len(ints), -1)))
+    columns = [values[j] if j in values else _texts(codes, starts[j::width], seps[j::width]) for j in range(1, width)]
+
+    def row(k: int) -> list[str]:
+        return block[starts[k * width] : seps[k * width + width - 1]].decode().split(",")
+
+    return (texts, lengths), columns, row
 
 
 def _read(reader, size: int | None, what: str, line: int = 0):
@@ -221,23 +322,23 @@ def _repeat_first(error, row_paper: np.ndarray, years: np.ndarray, duplicate_err
 def parse_corpus_csv(papers_file, citations_file, opts: IngestOptions | None = None) -> Corpus:
     """Parse the papers/citations CSV pair into a validated corpus.
 
-    Accepts bytes or binary streams.  Every failure names the offending
-    line, the first one in the files.  The title column may be omitted
-    entirely; exports always write it.  Years must lie in 1000..9999 and
-    counts in 1..2**31 - 1, written as plain ASCII digits.
+    Accepts bytes, text, or a stream of either.  Every failure names the
+    offending line, the first one in the files.  The title column may be
+    omitted entirely; exports always write it.  Years must lie in
+    1000..9999 and counts in 1..2**31 - 1, written as plain ASCII digits.
     """
     opts = opts or IngestOptions()
-    known: dict[str, int] = {}
     index: dict[str, int] = {}
     pub_years, titles = [np.empty(0, np.int64)], []
-    papers = _csv_blocks(_decode(papers_file, "papers"), "papers", (PAPERS_HEADER, PAPERS_HEADER[:2]))
-    for numbers, (ids, pub_cells, *title_cells) in papers:
-        pub_year = _cell_ints(pub_cells, known)
+    papers = _csv_blocks(_content(papers_file), "papers", (PAPERS_HEADER, PAPERS_HEADER[:2]), (1,))
+    for numbers, (texts, lengths), (pub_year, *title_cells), row in papers:
         bad_year = ((pub_year < _YEAR_MIN) | (pub_year > _YEAR_MAX)).tolist()
         before = len(index)
-        index.update(zip(ids, range(before, before + len(ids))))
-        if len(index) < before + len(ids) or "" in index or True in bad_year:
-            # The first row with an empty id, an id seen before or a bad year.
+        index.update(zip(texts, range(before, before + len(texts))))
+        if len(index) < before + len(numbers) or "" in index or True in bad_year:
+            # The first row with an empty id, an id seen before (a run of two
+            # rows repeats one) or a bad year.
+            ids = np.repeat(np.array(texts, dtype=object), lengths).tolist()
             seen = set(islice(index, before))
             k = next(k for k, pid in enumerate(ids) if not pid or pid in seen or bad_year[k] or seen.add(pid))
             locator = f"papers line {numbers[k]}"
@@ -245,31 +346,31 @@ def parse_corpus_csv(papers_file, citations_file, opts: IngestOptions | None = N
                 raise ParseError("paper_id must be non-empty", locator)
             if ids[k] in seen:
                 raise DuplicateIdError(ids[k], locator)
-            raise _cell_error("pub_year", pub_cells[k], _YEAR_MIN, _YEAR_MAX, locator)
+            raise _cell_error("pub_year", row(k)[1], _YEAR_MIN, _YEAR_MAX, locator)
         pub_years.append(pub_year)
-        titles += [title or None for title in title_cells[0]] if title_cells else [None] * len(ids)
+        titles += [title or None for title in title_cells[0]] if title_cells else [None] * len(texts)
 
-    blocks = partial(_csv_blocks, _decode(citations_file, "citations"), "citations", (CITATIONS_HEADER,))
+    blocks = partial(_csv_blocks, _content(citations_file), "citations", (CITATIONS_HEADER,), (1, 2))
 
     def duplicate_error(row: int) -> DuplicateYearRowError:
-        line = next(islice((line for numbers, _ in blocks() for line in numbers), row, None))
+        line = next(islice((line for numbers, *_ in blocks() for line in numbers), row, None))
         paper_id = next(islice(index, int(row_paper[row]), None))
         return DuplicateYearRowError(paper_id, int(years[row]), f"citations line {line}")
 
     parts, error = [], None
     try:
-        for numbers, (id_cells, year_cells, count_cells) in blocks():
-            paper = np.fromiter(map(index.get, id_cells, repeat(-1)), np.int64, len(id_cells))
-            year, count_ = _cell_ints(year_cells, known), _cell_ints(count_cells, known)
+        for numbers, (texts, lengths), (year, count_), row in blocks():
+            paper = np.repeat(np.fromiter(map(index.get, texts, repeat(-1)), np.int64, len(texts)), lengths)
             bad = (paper < 0) | (year < _YEAR_MIN) | (year > _YEAR_MAX) | (count_ < 1) | (count_ > _MAX_COUNT)
-            k = int(np.argmax(bad)) if bad.any() else len(bad)
+            k = int(bad.argmax()) if bad.any() else len(bad)
             parts.append((paper[:k], year[:k], count_[:k]))
             if k < len(bad):
                 locator = f"citations line {numbers[k]}"
+                paper_id, year_cell, count_cell = row(k)
                 if paper[k] < 0:
-                    raise UnknownPaperIdError(id_cells[k], locator)
-                year_error = _cell_error("year", year_cells[k], _YEAR_MIN, _YEAR_MAX, locator)
-                raise year_error or _cell_error("count", count_cells[k], 1, _MAX_COUNT, locator)
+                    raise UnknownPaperIdError(paper_id, locator)
+                year_error = _cell_error("year", year_cell, _YEAR_MIN, _YEAR_MAX, locator)
+                raise year_error or _cell_error("count", count_cell, 1, _MAX_COUNT, locator)
     except IngestError as exc:
         error = exc
     row_paper, years, counts = (np.concatenate(column) for column in zip(*parts, [np.empty(0, np.int64)] * 3))
@@ -349,7 +450,7 @@ def parse_corpus_json(stream, opts: IngestOptions | None = None) -> Corpus:
     year keys written as plain ASCII digits, and counts in 1..2**31 - 1.
     """
     opts = opts or IngestOptions()
-    text = _decode(stream, "corpus")
+    text = _decode(_content(stream), "corpus")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -381,7 +482,13 @@ def parse_corpus_json(stream, opts: IngestOptions | None = None) -> Corpus:
     values = list(chain.from_iterable(map(dict.values, citations)))
     years = _cell_ints(keys, {})
     bad = (years < _YEAR_MIN) | (years > _YEAR_MAX)
-    bad |= np.array([type(value) is not int or not 0 < value <= _MAX_COUNT for value in values], dtype=bool)
+    try:
+        counts = np.fromiter(values, np.int64, len(values)) if set(map(type, values)) <= {int} else None
+    except OverflowError:  # an int beyond int64
+        counts = None
+    if counts is None or counts.min(initial=1) < 1 or counts.max(initial=1) > _MAX_COUNT:
+        # Some count is no int (bool included) or out of range: find which.
+        bad |= np.array([type(value) is not int or not 0 < value <= _MAX_COUNT for value in values], dtype=bool)
     rows = int(np.argmax(bad)) if bad.any() else len(keys)
 
     def duplicate_error(row: int) -> SchemaError:
@@ -394,7 +501,6 @@ def parse_corpus_json(stream, opts: IngestOptions | None = None) -> Corpus:
             error = _repeat_first(error, row_paper[:rows], years[:rows], duplicate_error)
         raise error
     pub_year = np.array(pub_years, dtype=np.int64)
-    counts = np.fromiter(values, np.int64, len(values))
     del data, columns, pub_years, citations, values  # the store build reuses their memory
     return _corpus_from_rows(
         index, pub_year, titles, row_paper, years, counts, opts.lenient_clamp, duplicate_error

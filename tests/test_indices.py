@@ -147,6 +147,15 @@ class TestWindowedH:
         expected = IndexValue(h, interpolate_h(ranked, h))
         assert windowed_h(corpus, pub, cite, interpolated=True) == expected
 
+    def test_cache_rows_run_over_the_distinct_years_in_order(self):
+        corpus = validate_corpus(
+            [PaperRecord("a", 1000, {9999: 2, 1000: 1, 2005: 4}), PaperRecord("b", 2000, {2005: 3, 9999: 5})]
+        )
+        dense = corpus._dense
+        assert dense.years == [1000, 2005, 9999]
+        # Columns in publication order: a (1000), then b (2000).
+        assert dense.prefix.tolist() == [[0, 0], [1, 0], [5, 3], [7, 8]]
+
     def test_outlier_year_cache_matches_brute_force(self):
         corpus = validate_corpus(
             [PaperRecord("old", 1000, {2020: 3}), PaperRecord("new", 2018, {2019: 1, 2020: 2})]

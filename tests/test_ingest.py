@@ -83,6 +83,16 @@ class TestParseCsv:
             corpus = parse_corpus_csv(fp, fc)
         assert len(corpus) == 2
 
+    def test_accepts_text_with_or_without_utf8_bytes(self):
+        assert parse_corpus_csv(PAPERS_CSV.decode(), CITATIONS_CSV.decode()) == parse_corpus_csv(
+            PAPERS_CSV, CITATIONS_CSV
+        )
+        # A lone surrogate has no UTF-8 encoding; text holding one still parses.
+        corpus = parse_corpus_csv("paper_id,pub_year\n\ud800,2000\nP,2001\n", "paper_id,year,count\n\ud800,2001,1\n")
+        assert corpus.by_id["\ud800"].citations == ((2001, 1),)
+        doc = '[{"id": "\ud800", "pub_year": 2000, "citations": {"2001": 1}}, {"id": "P", "pub_year": 2001, "citations": {}}]'
+        assert parse_corpus_json(doc) == corpus
+
     def test_title_column_may_be_missing(self):
         corpus = parse_corpus_csv(
             b"paper_id,pub_year\nP1,2000\n", b"paper_id,year,count\n"
@@ -318,6 +328,14 @@ class TestStrictIntegers:
             parse_corpus_json(json_doc(citations=json.dumps({"2001": count})))
         assert exc.value.locator == "$[0].citations.2001"
 
+    @pytest.mark.parametrize("count", [True, False, 0, -1, 2**31, 2**63, -(2**63) - 1, 10**23, 1.0, None])
+    def test_json_count_checks_report_the_reference_message(self, count):
+        papers = [{"id": f"P{i}", "pub_year": 2000, "citations": {"2001": 1, "2002": 2}} for i in range(3)]
+        papers[1]["citations"]["2003"] = count
+        doc = json.dumps(papers).encode()
+        assert outcome(parse_corpus_json, doc) == outcome(ingest_reference.parse_json, doc)
+        assert outcome(parse_corpus_json, doc)[2] == "$[1].citations.2003"
+
     def test_bounds_themselves_are_accepted(self):
         papers = b"paper_id,pub_year,title\nA,1000,\nB,9999,\n"
         citations = f"paper_id,year,count\nA,1000,{MAX_COUNT}\nA,9999,{MAX_COUNT}\n".encode()
@@ -435,11 +453,18 @@ def reference_csv_rows(text: str, what: str, headers) -> tuple:
 
 
 def tokenized_rows(text: str, what: str, headers) -> tuple:
-    """The same from :func:`ingest._csv_blocks`, its blocks flattened."""
+    """The same from :func:`ingest._csv_blocks`, its blocks flattened: each
+    row built from field 0's runs and the other columns, which must also be
+    the texts that ``row(k)`` gives."""
     out = []
     try:
-        for numbers, columns in ingest._csv_blocks(text, what, headers):
-            out += zip(numbers, zip(*columns))
+        for numbers, (texts, lengths), columns, row in ingest._csv_blocks(text.encode(), what, headers):
+            assert len(texts) == len(lengths) and min(lengths) >= 1
+            ids = [text for text, length in zip(texts, lengths) for _ in range(length)]
+            assert {len(ids), *map(len, columns)} == {len(numbers)}
+            rows = list(zip(ids, *columns))
+            assert rows == [tuple(row(k)) for k in range(len(numbers))]
+            out += zip(numbers, rows)
     except IngestError as exc:
         return out, (type(exc).__name__, str(exc))
     return out, None
@@ -605,6 +630,112 @@ class TestAgainstRowByRowReference:
         assert outcome(parse_corpus_json, doc, lenient=lenient) == outcome(
             ingest_reference.parse_json, doc, lenient=lenient
         )
+
+
+def reference_int(cell: str) -> int:
+    """What the byte reader reads from an integer cell: its value when it
+    is 1 to 10 ASCII digits, -1 otherwise."""
+    return int(cell) if 0 < len(cell) <= 10 and cell.isascii() and cell.isdigit() else -1
+
+
+def block_rows(data: bytes, headers, ints) -> tuple:
+    """(line, texts, values) of every row :func:`ingest._csv_blocks` yields,
+    with field 0 expanded from its runs and the integer fields as ints,
+    then the error (class name and message) that ends the reading, or None."""
+    out = []
+    try:
+        for numbers, (texts, lengths), columns, row in ingest._csv_blocks(data, "t", headers, ints):
+            assert len(texts) == len(lengths) and sum(lengths) == len(numbers) and min(lengths) >= 1
+            ids = [text for text, length in zip(texts, lengths) for _ in range(length)]
+            fields = [ids, *([int(v) for v in column] if j + 1 in ints else list(column) for j, column in enumerate(columns))]
+            out += [(line, tuple(row(k)), tuple(field[k] for field in fields)) for k, line in enumerate(numbers)]
+    except IngestError as exc:
+        return out, (type(exc).__name__, str(exc))
+    return out, None
+
+
+def reference_block_rows(text: str, headers, ints) -> tuple:
+    rows, error = reference_csv_rows(text, "t", headers)
+    values = [
+        (line, row, tuple(reference_int(cell) if j in ints else cell for j, cell in enumerate(row)))
+        for line, row in rows
+    ]
+    return values, error
+
+
+# Integer cells: good ones, signs, spaces, underscores, digits of other
+# scripts, empty and overlong texts.
+INT_CELLS = st.one_of(
+    st.integers(0, 10**10 - 1).map(str),
+    st.integers(10**10, 10**11 - 1).map(str),
+    st.text(alphabet=st.sampled_from(list("0123456789-+ _٣３")), max_size=11),
+    st.sampled_from(["2001", "02001", "0000000001", "00000000001", "9999999999", "-1", "+1", "1 ", "1_0", "٢٠٠١"]),
+)
+# Ids that share 8-byte words, differ past them or hold NUL and non-ASCII
+# characters, drawn from few values so that runs of equal ids are common.
+BYTE_IDS = st.sampled_from(
+    ["A", "A", "A", "B", "B", "é", "中文", "A\x00", "\x00A", "A\x00\x00", "", "AAAAAAAA", "AAAAAAAAA", "AAAAAAAAB", "AAAAAAAAAAAAAAAAé"]
+)
+
+
+class TestByteReader:
+    """Quote-free blocks read from bytes give what ``csv.reader`` and the
+    row-by-row reference parsers give."""
+
+    @given(
+        st.lists(st.tuples(BYTE_IDS, INT_CELLS, INT_CELLS), max_size=14),
+        st.sampled_from(["\n", "\r\n"]),
+        st.booleans(),
+        st.integers(1, 40),
+    )
+    @example([("A", "2001", "1"), ("A", "2002", "2"), ("A\x00", "2003", "3")], "\n", True, 1)
+    @settings(max_examples=400)
+    def test_rows_and_integer_columns(self, rows, newline, end, chars):
+        text = newline.join(["id,year,count", *map(",".join, rows)]) + (newline if end else "")
+        headers = (("id", "year", "count"),)
+        with mock.patch.object(ingest, "_BLOCK_CHARS", chars):
+            assert block_rows(text.encode(), headers, (1, 2)) == reference_block_rows(text, headers, (1, 2))
+
+    @given(st.data(), st.integers(2, 5), st.sampled_from(["\n", "\r\n"]), st.booleans(), st.integers(1, 40))
+    @settings(max_examples=300)
+    def test_text_columns_at_every_width(self, data, width, newline, end, chars):
+        # Mostly lines of the header's width, so that whole blocks take the byte path.
+        line = st.lists(CELLS, min_size=width, max_size=width).map(",".join)
+        other = st.one_of(st.just(""), st.lists(CELLS, min_size=1, max_size=width + 1).map(",".join))
+        lines = data.draw(st.lists(st.one_of(line, line, line, other), max_size=14))
+        text = newline.join([",".join(f"f{j}" for j in range(width)), *lines]) + (newline if end else "")
+        headers = (tuple(f"f{j}" for j in range(width)),)
+        with mock.patch.object(ingest, "_BLOCK_CHARS", chars):
+            assert tokenized_rows(text, "t", headers) == reference_csv_rows(text, "t", headers)
+
+    @given(
+        st.lists(st.tuples(BYTE_IDS, st.sampled_from(["2000", "2001", "1999"])), max_size=5),
+        st.lists(st.tuples(BYTE_IDS, INT_CELLS, INT_CELLS), max_size=14),
+        st.sampled_from(["\n", "\r\n"]),
+        st.booleans(),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=400)
+    def test_parse_matches_reference(self, papers, citations, newline, lenient, chars):
+        files = [
+            newline.join([header, *map(",".join, rows)]).encode() + newline.encode()
+            for header, rows in (("paper_id,pub_year", papers), ("paper_id,year,count", citations))
+        ]
+        with mock.patch.object(ingest, "_BLOCK_CHARS", chars):
+            assert outcome(parse_corpus_csv, *files, lenient=lenient) == outcome(
+                ingest_reference.parse_csv, *files, lenient=lenient
+            )
+
+    def test_row_order_does_not_change_the_corpus(self):
+        corpus = random_corpus(np.random.default_rng(11), max_papers=400, with_titles=True)
+        papers, citations = export_corpus_csv(corpus)
+        header, *lines = citations.splitlines(keepends=True)
+        np.random.default_rng(3).shuffle(lines)
+        shuffled = header + b"".join(lines)
+        assert shuffled != citations
+        for chars in (1 << 16, 300):
+            with mock.patch.object(ingest, "_BLOCK_CHARS", chars):
+                assert parse_corpus_csv(papers, shuffled) == corpus
 
 
 # tracemalloc peak over input bytes, on a seeded corpus of 18 899 papers and

@@ -1,6 +1,10 @@
 """Core model: validation, windows, per-paper aggregation."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from citewindow import (
     CitationBeforePublicationError,
@@ -154,6 +158,32 @@ class TestRankedCitations:
     def test_must_be_non_negative(self):
         with pytest.raises(ValueError):
             RankedCitations((3, -1))
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(-3, 6), st.fractions(-3, 6, max_denominator=4)), max_size=8
+        ).map(lambda values: sorted(values, reverse=True) if len(values) % 2 else values)
+    )
+    def test_first_failing_entry_names_the_rule(self, values):
+        expected = None
+        for i, value in enumerate(values):
+            if value < 0:
+                expected = "ranked citation values must be non-negative"
+            elif i and values[i - 1] < value:
+                expected = "ranked citation values must be non-increasing"
+            if expected:
+                break
+        try:
+            RankedCitations(tuple(values))
+        except ValueError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+
+    def test_messages_for_a_rise_after_a_negative_entry(self):
+        for values, rule in (((2, -1, 0), "non-negative"), ((Fraction(1, 2), 1), "non-increasing")):
+            with pytest.raises(ValueError, match=rule):
+                RankedCitations(values)
 
     def test_rank_access_past_end_is_zero(self):
         c = RankedCitations((6, 3, 2))
