@@ -20,11 +20,14 @@ with a located error.  The bounds keep every citation sum inside int64,
 and four-digit year keys sort as their numbers do.
 
 Both parsers work a column at a time.  A file becomes int64 columns of
-paper index, year and count, which are checked in bulk; only the first
-failing row or paper is checked again on its own, in file order, to
-report exactly what a row-by-row reader would: the first break in the
-files (papers before citations), with a repeated (paper, year) row
-winning over a parse error below it.
+paper index, year and count, which are checked in bulk, ranges included.
+Only the first failing row is read again on its own, and JSON papers are
+checked one at a time only once a column check of them has failed.  So
+each parser reports exactly what a row-by-row reader would: the first
+break in the files (papers before citations), with a repeated (paper,
+year) row winning over a parse error below it.  Repeated rows and
+citations before publication are left to the store build the parsers
+share with :func:`citewindow.model.validate_corpus`.
 
 CSV files are read from their bytes.  A file without '"' and without a
 CR outside CRLF has no quoting, so it is cut at line ends into blocks of
@@ -385,36 +388,38 @@ _JSON_KEYS = frozenset(("id", "pub_year", "title", "citations"))
 
 
 def _paper_error(obj, i: int, earlier_ids) -> Exception | None:
-    """The first failure of JSON paper ``i``, checked in document order."""
-    path = f"$[{i}]"
+    """The first failure of JSON paper ``i`` on its own, its citation entries
+    aside, checked in document order."""
     if not isinstance(obj, dict):
-        return SchemaError("paper entry must be an object", path)
-    unknown = set(obj) - _JSON_KEYS
-    if unknown:
-        return SchemaError(f"unknown keys {sorted(unknown)}", path)
+        return SchemaError("paper entry must be an object", f"$[{i}]")
+    if not obj.keys() <= _JSON_KEYS:
+        return SchemaError(f"unknown keys {sorted(obj.keys() - _JSON_KEYS)}", f"$[{i}]")
     for key in ("id", "pub_year", "citations"):
         if key not in obj:
-            return SchemaError(f"missing required key {key!r}", path)
+            return SchemaError(f"missing required key {key!r}", f"$[{i}]")
     paper_id = obj["id"]
     if not isinstance(paper_id, str) or not paper_id:
-        return SchemaError("id must be a non-empty string", f"{path}.id")
+        return SchemaError("id must be a non-empty string", f"$[{i}].id")
     if paper_id in earlier_ids:
-        return DuplicateIdError(paper_id, f"{path}.id")
+        return DuplicateIdError(paper_id, f"$[{i}].id")
     pub_year = obj["pub_year"]
     if type(pub_year) is not int:
-        return SchemaError("pub_year must be an integer", f"{path}.pub_year")
+        return SchemaError("pub_year must be an integer", f"$[{i}].pub_year")
     if not _YEAR_MIN <= pub_year <= _YEAR_MAX:
-        return SchemaError(f"pub_year must lie in {_YEAR_MIN}..{_YEAR_MAX}", f"{path}.pub_year")
+        return SchemaError(f"pub_year must lie in {_YEAR_MIN}..{_YEAR_MAX}", f"$[{i}].pub_year")
     title = obj.get("title")
     if title is not None and not isinstance(title, str):
-        return SchemaError("title must be a string or null", f"{path}.title")
+        return SchemaError("title must be a string or null", f"$[{i}].title")
     if not isinstance(obj["citations"], dict):
-        return SchemaError("citations must be an object", f"{path}.citations")
-    for key, value in obj["citations"].items():
-        locator = f"{path}.citations.{key}"
-        error = _cell_error("citation year keys", key, _YEAR_MIN, _YEAR_MAX, locator, SchemaError)
-        if error or not (type(value) is int and 0 < value <= _MAX_COUNT):
-            return error or SchemaError(_count_error(value), locator)
+        return SchemaError("citations must be an object", f"$[{i}].citations")
+
+
+def _citation_error(paper: int, key: str, value) -> SchemaError:
+    """The failure of the citation entry ``key: value`` of JSON paper
+    ``paper``, which breaks a rule: its year key first, then its count."""
+    locator = f"$[{paper}].citations.{key}"
+    year_error = _cell_error("citation year keys", key, _YEAR_MIN, _YEAR_MAX, locator, SchemaError)
+    return year_error or SchemaError(_count_error(value), locator)
 
 
 def _paper_columns(data):
@@ -459,20 +464,18 @@ def parse_corpus_json(stream, opts: IngestOptions | None = None) -> Corpus:
     if not isinstance(data, list):
         raise SchemaError("top level must be an array of paper objects", "$")
 
-    # ``end`` is the first paper that fails a check: a check of the paper
-    # alone, or of the first bad row.  Only that paper is checked in order.
-    # The per-paper pass runs only once a column check has failed.
-    columns = _paper_columns(data)
+    # The papers before ``end`` pass the checks of each paper on its own.
+    # Only once a column check has failed are papers checked one at a
+    # time, to find the first that fails; its error yields to a bad
+    # citation entry of an earlier paper.
+    columns, error = _paper_columns(data), None
     if columns is None:
         index: dict[str, int] = {}
-        valid = [
-            type(obj) is dict and obj.keys() <= _JSON_KEYS
-            and type(obj.get("id")) is str and obj["id"] != "" and index.setdefault(obj["id"], i) == i
-            and type(obj.get("pub_year")) is int and _YEAR_MIN <= obj["pub_year"] <= _YEAR_MAX
-            and type(obj.get("title")) in (str, type(None)) and type(obj.get("citations")) is dict
-            for i, obj in enumerate(data)
-        ]
-        end = valid.index(False)
+        for end, obj in enumerate(data):
+            error = _paper_error(obj, end, index)
+            if error:
+                break
+            index[obj["id"]] = end
         citations = [obj["citations"] for obj in data[:end]]
     else:
         index, pub_years, titles, citations = columns
@@ -494,11 +497,11 @@ def parse_corpus_json(stream, opts: IngestOptions | None = None) -> Corpus:
     def duplicate_error(row: int) -> SchemaError:
         return SchemaError("duplicate citation year", f"$[{row_paper[row]}].citations.{keys[row]}")
 
-    if rows < len(keys) or end < len(data):
-        end = int(row_paper[rows]) if rows < len(keys) else end
-        error = _paper_error(data[end], end, set(islice(index, end)))
-        if isinstance(error, IngestError):
-            error = _repeat_first(error, row_paper[:rows], years[:rows], duplicate_error)
+    if rows < len(keys):
+        error = _citation_error(int(row_paper[rows]), keys[rows], values[rows])
+    if isinstance(error, IngestError):
+        error = _repeat_first(error, row_paper[:rows], years[:rows], duplicate_error)
+    if error:
         raise error
     pub_year = np.array(pub_years, dtype=np.int64)
     del data, columns, pub_years, citations, values  # the store build reuses their memory

@@ -249,6 +249,7 @@ class TestExport:
     @given(wire_corpora())
     @example(validate_corpus([PaperRecord("P", 2000, title="\r")]))
     @example(validate_corpus([PaperRecord("P", 2000, title="a\rb")]))
+    @example(validate_corpus([PaperRecord("a", 2000, {2001: 2}, title="5"), PaperRecord("b", 2001)]))
     @settings(max_examples=120)
     def test_round_trip_both_formats(self, corpus):
         papers, citations = export_corpus_csv(corpus)

@@ -22,6 +22,52 @@ from citewindow import (
 # Both ways of building a corpus from records validate the same way.
 BUILDERS = (validate_corpus, Corpus)
 
+YEARS_OUTSIDE = st.one_of(st.integers(-(10**20), 999), st.integers(10_000, 10**20))
+IN_RANGE_YEARS = st.integers(1995, 2010)
+
+
+def mostly(fine, *faults):
+    """Draws of ``fine``, but for one in fifteen for each of ``faults``."""
+    return st.sampled_from([fine] * (15 - len(faults)) + list(faults)).flatmap(lambda s: s)
+
+
+# A citation drawn in range may fall before publication; the others carry
+# one injected fault each: a year outside 1000..9999, a negative count or
+# a count above 2**31 - 1.
+CITATIONS = mostly(
+    st.tuples(IN_RANGE_YEARS, st.integers(1, 99)),
+    st.tuples(YEARS_OUTSIDE, st.integers(1, 99)),
+    st.tuples(IN_RANGE_YEARS, st.integers(-(10**20), -1)),
+    st.tuples(IN_RANGE_YEARS, st.integers(2**31, 10**25)),
+)
+FAULTY_RECORDS = st.builds(
+    PaperRecord,
+    st.sampled_from(["P0", "P1", "P2", "P3"]),
+    mostly(IN_RANGE_YEARS, YEARS_OUTSIDE),
+    st.lists(CITATIONS, max_size=4, unique_by=lambda pair: pair[0]),
+    st.sampled_from([None, "a title"]),
+)
+
+
+def in_order_violation(records):
+    """(error type, paper id, year or None) of the first rule broken, checking
+    each record in input order and its citations in year order; None if none is."""
+    seen = set()
+    for paper in records:
+        if paper.id in seen:
+            return DuplicateIdError, paper.id, None
+        seen.add(paper.id)
+        if not 1000 <= paper.pub_year <= 9999:
+            return InvalidRangeError, paper.id, None
+        for year, count in paper.citations:
+            if count < 0:
+                return NegativeCountError, paper.id, year
+            if not (1000 <= year <= 9999 and count <= 2**31 - 1):
+                return InvalidRangeError, paper.id, None
+            if year < paper.pub_year:
+                return CitationBeforePublicationError, paper.id, year
+    return None
+
 
 class TestYearWindow:
     def test_membership_is_inclusive(self):
@@ -59,6 +105,17 @@ class TestPaperRecord:
     def test_empty_id_rejected(self):
         with pytest.raises(ValueError):
             PaperRecord("", 2000)
+
+    @pytest.mark.parametrize(
+        "citations", [[(2001, 3), (2001, 4)], {2001: 3, "2001": 4}, [(2001, 0), (2001, 4)]]
+    )
+    def test_repeated_year_rejected(self, citations):
+        with pytest.raises(ValueError, match="citation year 2001 is listed twice"):
+            PaperRecord("a", 2000, citations)
+
+    def test_title_must_be_text(self):
+        with pytest.raises(TypeError):
+            PaperRecord("a", 2000, {2001: 2}, title=5)
 
     def test_empty_title_is_none(self):
         assert PaperRecord("P", 2000, title="").title is None
@@ -99,10 +156,12 @@ class TestValidateCorpus:
             with pytest.raises(CitationBeforePublicationError):
                 build([PaperRecord("P", 2005, {2004: 1})])
 
-    def test_negative_count(self):
+    @pytest.mark.parametrize("year", [2001, 500, 10**30])
+    def test_negative_count(self, year):
         for build in BUILDERS:
-            with pytest.raises(NegativeCountError):
-                build([PaperRecord("P", 2000, {2001: -2})])
+            with pytest.raises(NegativeCountError) as exc:
+                build([PaperRecord("P", 2000, {year: -2})])
+            assert exc.value.year == year
 
     @pytest.mark.parametrize(
         "paper",
@@ -136,6 +195,23 @@ class TestValidateCorpus:
                 build(papers[1:])
             with pytest.raises(NegativeCountError):
                 build([papers[1], *papers])
+
+    @given(st.data())
+    def test_first_violation_matches_an_in_order_loop(self, data):
+        records = data.draw(st.lists(FAULTY_RECORDS, max_size=6))
+        expected = in_order_violation(records)
+        for build in BUILDERS:
+            if expected is None:
+                corpus = build(records)
+                assert [(p.id, p.pub_year, p.citations, p.title) for p in corpus.papers] == sorted(
+                    (p.id, p.pub_year, p.citations, p.title) for p in records
+                )
+                continue
+            kind, paper_id, year = expected
+            with pytest.raises(kind) as exc:
+                build(records)
+            assert repr(paper_id) in str(exc.value)
+            assert getattr(exc.value, "year", None) == year
 
     def test_records_view_and_equality(self, toy_corpus):
         rebuilt = validate_corpus(reversed(toy_corpus.papers))
