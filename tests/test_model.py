@@ -156,12 +156,12 @@ class TestValidateCorpus:
             with pytest.raises(CitationBeforePublicationError):
                 build([PaperRecord("P", 2005, {2004: 1})])
 
-    @pytest.mark.parametrize("year", [2001, 500, 10**30])
-    def test_negative_count(self, year):
-        for build in BUILDERS:
-            with pytest.raises(NegativeCountError) as exc:
-                build([PaperRecord("P", 2000, {year: -2})])
-            assert exc.value.year == year
+    def test_negative_count(self):
+        for year in (2001, 500, 10**30):
+            for build in BUILDERS:
+                with pytest.raises(NegativeCountError) as exc:
+                    build([PaperRecord("P", 2000, {year: -2})])
+                assert exc.value.year == year
 
     @pytest.mark.parametrize(
         "paper",
