@@ -187,7 +187,7 @@ def recently_cited_count(
         raise ValueError(f"k must be >= 1, got {k}")
     corpus._require_papers()
     eligible = corpus._totals() >= min_citations
-    recent = _segment_sums(corpus._years > corpus.y_end - k, corpus._offsets) > 0
+    recent = corpus._totals(since=corpus.y_end - k + 1) > 0
     return int(np.count_nonzero(eligible & recent)), int(np.count_nonzero(eligible))
 
 

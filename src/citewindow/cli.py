@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import indices, tables
-from .errors import CorpusError
+from .errors import CorpusError, InvalidRangeError
 from .ingest import IngestOptions, parse_corpus_csv, parse_corpus_json
 from .model import _YEAR_MAX, _YEAR_MIN, Corpus, YearWindow
 from .rational import as_fraction, format_fixed
@@ -55,7 +55,7 @@ def _checked(convert, ok, wanted: str):
     def parse(text: str):
         try:
             value = convert(text)
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError, InvalidRangeError):
             value = None
         if value is None or not ok(value):
             raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
@@ -77,6 +77,14 @@ _WINDOW_LENGTH = _checked(
 )
 
 
+def _year_window(text: str) -> YearWindow:
+    start, end = text.split(":")
+    return YearWindow(None if start == "*" else int(start), int(end))
+
+
+_WINDOW = _checked(_year_window, lambda w: True, "a:b with a <= b, where a may be '*'")
+
+
 def _t_list(text: str) -> list:
     """--t-list: comma-separated window lengths."""
     return [_WINDOW_LENGTH(token.strip()) for token in text.split(",")]
@@ -90,22 +98,6 @@ def _quantile_tokens(text: str) -> tuple[str, ...]:
     for token in tokens:
         _PERCENTAGE(token)
     return tokens
-
-
-def _parse_window(parser, raw: str, flag: str) -> YearWindow:
-    parts = raw.split(":")
-    if len(parts) != 2:
-        parser.error(f"{flag} must look like a:b (a may be '*'), got {raw!r}")
-    start_raw, end_raw = parts
-    try:
-        start = None if start_raw == "*" else int(start_raw)
-        end = int(end_raw)
-    except ValueError:
-        parser.error(f"{flag} bounds must be integers or '*', got {raw!r}")
-    try:
-        return YearWindow(start, end)
-    except CorpusError as exc:
-        parser.error(f"{flag}: {exc}")
 
 
 def _emit_tables(args, *named_tables: tuple[str, tables.OutputTable]) -> None:
@@ -192,12 +184,7 @@ def cmd_index(parser, args) -> int:
     if style == "timed":
         value = indices.timed_h(corpus, args.year, args.t, args.interpolated)
     elif style == "windowed":
-        value = indices.windowed_h(
-            corpus,
-            _parse_window(parser, args.pub_window, "--pub-window"),
-            _parse_window(parser, args.cite_window, "--cite-window"),
-            args.interpolated,
-        )
+        value = indices.windowed_h(corpus, args.pub_window, args.cite_window, args.interpolated)
     elif args.preset == "h5":
         span = 5 if args.span is None else args.span
         value = indices.h5_index(corpus, args.year, span, args.interpolated)
@@ -289,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_argument(p)
     p.add_argument("--year", type=_YEAR)
     p.add_argument("--t", type=_NON_NEGATIVE_INT, help="window length for the timed index")
-    p.add_argument("--pub-window", metavar="A:B", help="publication window, '*' = unbounded")
-    p.add_argument("--cite-window", metavar="A:B", help="citation window, '*' = unbounded")
+    for flag, what in (("--pub-window", "publication"), ("--cite-window", "citation")):
+        p.add_argument(flag, type=_WINDOW, metavar="A:B", help=f"{what} window, '*' = unbounded")
     p.add_argument("--preset", choices=("h5", "aif", "contemporary"))
     p.add_argument("--interpolated", action="store_true")
     p.add_argument("--span", type=_NON_NEGATIVE_INT, help="citation span for h5 (default 5)")
@@ -310,10 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(parser, args)
-    except CorpusError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CorpusError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
 

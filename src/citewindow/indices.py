@@ -152,8 +152,11 @@ def rank_citations(
     """
     if corpus.is_empty:
         return RankedCitations(())
-    counts = corpus._dense.window_counts(pub_window, cite_window)
-    ordered = np.sort(counts)[::-1]
+    dense = corpus._dense
+    first, last, lo, hi = dense.slices(
+        pub_window.start, pub_window.end, cite_window.start, cite_window.end
+    )
+    ordered = np.sort(dense.prefix[hi, first:last] - dense.prefix[lo, first:last])[::-1]
     return RankedCitations(tuple(ordered.tolist()))
 
 
@@ -411,8 +414,7 @@ def author_impact_factor(corpus: Corpus, y: int, delta_t: int = 5) -> AifValue:
         raise NoPapersInWindowError(
             f"no papers published in [{y - delta_t}, {y - 1}]"
         )
-    focal = selected[corpus._row_paper] & (corpus._years == y)
-    return AifValue(int(corpus._counts[focal].sum()), papers)
+    return AifValue(int(corpus._totals(y, since=y)[selected].sum()), papers)
 
 
 def _score_terms(totals: np.ndarray, ages: np.ndarray, gamma: Fraction, delta: int):

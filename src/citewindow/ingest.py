@@ -460,6 +460,10 @@ def parse_corpus_json(stream, opts: IngestOptions | None = None) -> Corpus:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", f"line {exc.lineno}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", "corpus stream") from None
+    except ValueError:  # an integer literal longer than sys.get_int_max_str_digits()
+        raise ParseError("invalid JSON: a number has too many digits", "corpus stream") from None
     del text
     if not isinstance(data, list):
         raise SchemaError("top level must be an array of paper objects", "$")

@@ -19,7 +19,7 @@ from itertools import accumulate
 from . import aging as _aging
 from . import indices as _indices
 from .ingest import _csv_text
-from .model import Corpus, _segment_sums
+from .model import Corpus
 from .rational import _fixed, as_fraction
 
 __all__ = [
@@ -148,8 +148,7 @@ def aging_output(
     kept = (totals >= min_citations) & (pub_year <= ref_year)
     order, totals, pub_year = order[kept], totals[kept], pub_year[kept]
     windows = _aging._quantile_windows(corpus, ref_year, _aging._checked_quantiles(quantiles))
-    years = corpus._years
-    recent = _segment_sums((years >= ref_year - 1) & (years <= ref_year), corpus._offsets) > 0
+    recent = corpus._totals(ref_year, since=ref_year - 1) > 0
     ids = corpus._ids
     no_windows = ["" for _ in quantiles]
     rows = []

@@ -79,6 +79,21 @@ class TestValidate:
             main(["validate", toy_json, toy_json, toy_json])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (b"[" * 100_000, "nested too deeply"),
+            (b'[{"id":"P","pub_year":2000,"citations":{"2001":' + b"1" * 5001 + b"}}]", "digits"),
+        ],
+        ids=["deep", "long-number"],
+    )
+    def test_unreadable_json_is_one_line(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "c.json"
+        path.write_bytes(doc)
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and message in err
+
 
 class TestEvolution:
     def test_exact_table(self, capsys, toy_json):
@@ -259,6 +274,13 @@ class TestIndex:
             capsys, "index", toy_json, "--pub-window", "2000:2001", "--cite-window", "2000:2001"
         )
         assert (code, out) == (0, "2\n")
+
+    @pytest.mark.parametrize("flag", ["--pub-window", "--cite-window"])
+    @pytest.mark.parametrize("value", ["x", "2005:2000", "1:2:3", "*:x"])
+    def test_bad_window_exits_2_before_the_corpus_is_read(self, capsys, flag, value):
+        windows = {"--pub-window": "1:2", "--cite-window": "1:2", flag: value}
+        argv = ["index", "missing.json", *(word for pair in windows.items() for word in pair)]
+        assert_bad_flag_exits_2(capsys, argv, flag)
 
     @pytest.mark.parametrize(
         "argv",

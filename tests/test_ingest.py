@@ -200,6 +200,15 @@ class TestParseJson:
             parse_corpus_json(b"[\n{]")
         assert "line" in str(exc.value)
 
+    def test_too_deeply_nested_json_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_corpus_json(b"[" * 100_000)
+
+    def test_overlong_number_is_a_parse_error(self):
+        doc = b'[{"id":"P","pub_year":2000,"citations":{"2001":' + b"1" * 5001 + b"}}]"
+        with pytest.raises(ParseError, match="too many digits"):
+            parse_corpus_json(doc)
+
     def test_duplicate_id(self):
         doc = (
             b'[{"id":"P","pub_year":2000,"citations":{}},'

@@ -18,6 +18,7 @@ from citewindow import (
     YearWindow,
     validate_corpus,
 )
+from helpers import small_corpora
 
 # Both ways of building a corpus from records validate the same way.
 BUILDERS = (validate_corpus, Corpus)
@@ -224,6 +225,24 @@ class TestValidateCorpus:
     def test_papers_sorted_by_id(self):
         corpus = validate_corpus([PaperRecord("B", 2001), PaperRecord("A", 2000)])
         assert [p.id for p in corpus.papers] == ["A", "B"]
+
+
+class TestTotals:
+    YEAR_BOUNDS = st.one_of(st.none(), st.integers(1955, 2030))
+
+    @given(small_corpora(), YEAR_BOUNDS, YEAR_BOUNDS)
+    def test_year_range_sums_match_a_per_paper_loop(self, corpus, ref_year, since):
+        expected = [
+            sum(
+                count
+                for year, count in paper.citations
+                if (ref_year is None or year <= ref_year) and (since is None or year >= since)
+            )
+            for paper in corpus.papers
+        ]
+        assert corpus._totals(ref_year, since).tolist() == expected
+        if since is None:
+            assert corpus.total_citations(ref_year) == sum(expected)
 
 
 class TestRankedCitations:

@@ -1,0 +1,55 @@
+"""``tools/loc.py``: which lines of a source file count as code."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+from loc import code_lines  # noqa: E402
+
+
+def count(*lines: str) -> int:
+    return code_lines("\n".join(lines).encode() + b"\n")
+
+
+def test_blank_lines_comments_and_docstrings_are_not_code():
+    source = (
+        '"""Module docstring,',
+        'on two lines."""',
+        "",
+        "# a comment",
+        "import os  # a comment after code",
+        "",
+        "",
+        "class A:",
+        '    """Class docstring."""',
+        "",
+        "    def f(self):",
+        '        """Function',
+        '        docstring."""',
+        "        return os.sep",
+        "",
+        "    async def g(self):",
+        "        '''Coroutine docstring.'''",
+        "        # only a comment",
+        "        return 1",
+    )
+    # import, class, def f, return, async def g, return
+    assert count(*source) == 6
+
+
+def test_multi_line_strings_that_are_not_docstrings_count_every_line():
+    source = (
+        "def f():",
+        "    x = 1",
+        '    """A string after the first statement',
+        '    is no docstring."""',
+        '    return """one',
+        "two",
+        'three"""',
+    )
+    assert count(*source) == 7
+
+
+def test_a_file_of_comments_and_a_docstring_has_no_code():
+    assert count('"""Only a docstring."""', "", "# and a comment") == 0

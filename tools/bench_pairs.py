@@ -2,9 +2,13 @@
 
 Usage, from anywhere inside the repository::
 
-    python3 tools/bench_pairs.py                      # HEAD~1 against the checkout, 10 pairs
-    python3 tools/bench_pairs.py --base HEAD          # uncommitted edits against the last commit
-    python3 tools/bench_pairs.py --pairs 12 --first-seed 301 --workload database_cli
+    python3 tools/bench_pairs.py --base REV --first-seed N            # REV against the checkout, 10 pairs
+    python3 tools/bench_pairs.py --base HEAD --first-seed N           # uncommitted edits against the last commit
+    python3 tools/bench_pairs.py --base REV --first-seed N --pairs 12 --workload database_cli
+
+Both ``--base`` and ``--first-seed`` are required.  After a merge the
+last commit may touch only documents, so name the parent of the code
+change explicitly, and pick seeds that no earlier measurement used.
 
 The base commit's files are exported with ``git archive`` into a
 temporary directory, so the repository itself (its index, its worktree
@@ -114,9 +118,9 @@ def flags(runs: dict) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", default="HEAD~1", help="commit to compare against (default HEAD~1)")
+    parser.add_argument("--base", required=True, help="commit to compare against")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=101)
+    parser.add_argument("--first-seed", type=int, required=True, help="seed of the first pair")
     parser.add_argument("--workload", action="append", help="workload to run; repeat for several (default: all)")
     args = parser.parse_args(argv)
 
