@@ -17,6 +17,12 @@ sort.  The zeros sort last, so they change neither h nor the
 interpolation.  A single query is a one-cell chunk, and a whole evolution
 table for an author-sized corpus is a handful of chunks.
 
+Only the cache, ``model._DenseCounts``, reads its prefix rows: this
+module plans the chunks and asks it for one cell's sorted counts
+(``_cell_counts``) or a chunk's masked, row-sorted block
+(``_chunk_counts``).  An empty corpus has a 1 x 0 cache, so every window
+over it selects no paper and gives h = 0.
+
 h is read from the sorted chunk by bound and count.  The column-wise
 maximum of the descending rows is itself non-increasing and lies above
 every row, so its h, found by bisection, is a bound K on every row's h.
@@ -150,14 +156,9 @@ def rank_citations(
     its citations inside ``cite_window``.  Ranking ties are broken by
     ascending paper id, which cannot influence the value vector.
     """
-    if corpus.is_empty:
-        return RankedCitations(())
     dense = corpus._dense
-    first, last, lo, hi = dense.slices(
-        pub_window.start, pub_window.end, cite_window.start, cite_window.end
-    )
-    ordered = np.sort(dense.prefix[hi, first:last] - dense.prefix[lo, first:last])[::-1]
-    return RankedCitations(tuple(ordered.tolist()))
+    cell = dense.slices(pub_window.start, pub_window.end, cite_window.start, cite_window.end)
+    return RankedCitations(tuple(dense._cell_counts(*cell).tolist()))
 
 
 def _as_ranked(c) -> RankedCitations:
@@ -294,31 +295,19 @@ def _window_rows(corpus: Corpus, windows) -> tuple[list, list, list]:
     Starts may be None (unbounded).  Works through the windows in chunks;
     see the module docstring.
     """
-    if corpus.is_empty:
-        zeros = [0] * len(windows)
-        return zeros, zeros, zeros
     dense = corpus._dense
-    prefix = dense.prefix
     cells = [dense.slices(*window) for window in windows]
     hs, c_hs, c_h1s = [], [], []
     for start, stop, first, last in _chunks(cells):
         if stop - start == 1:
             # One cell: its own slice, so no mask, and its bound is its h.
-            _, _, lo, hi = cells[start]
-            row = prefix[hi, first:last] - prefix[lo, first:last]
-            row.sort()
-            row = row[::-1]
+            row = dense._cell_counts(*cells[start])
             h = _h_index(row)
             hs.append(h)
             c_hs.append(row.item(h - 1) if h else 0)
             c_h1s.append(row.item(h) if h < row.size else 0)
         else:
-            firsts, lasts, los, his = np.array(cells[start:stop]).T
-            block = prefix[his, first:last] - prefix[los, first:last]
-            columns = np.arange(first, last)
-            block[(columns < firsts[:, None]) | (columns >= lasts[:, None])] = 0
-            block.sort(axis=1)
-            h, c_h, c_h1 = _chunk_rows(block[:, ::-1])
+            h, c_h, c_h1 = _chunk_rows(dense._chunk_counts(cells[start:stop], first, last))
             hs += h
             c_hs += c_h
             c_h1s += c_h1

@@ -22,6 +22,7 @@ from citewindow import (
     h5_index,
     h_from_ranked,
     interpolate_h,
+    parse_corpus_json,
     rank_citations,
     timed_h,
     validate_corpus,
@@ -129,8 +130,22 @@ class TestWindowedH:
         assert value.h_interp == Fraction(5, 2)
 
     def test_empty_corpus_yields_zero(self):
-        corpus = validate_corpus([])
-        assert windowed_h(corpus, YearWindow.through(2000), YearWindow.through(2000)).h == 0
+        for corpus in (validate_corpus([]), parse_corpus_json(b"[]")):
+            for interpolated in (False, True):
+                zero = IndexValue(0, Fraction(0)) if interpolated else IndexValue(0)
+                through = YearWindow.through(2000)
+                assert windowed_h(corpus, through, through, interpolated) == zero
+                assert windowed_h(corpus, YearWindow(1990, 2000), YearWindow(1995, 2005), interpolated) == zero
+                assert timed_h(corpus, 2000, 5, interpolated) == zero
+                assert h5_index(corpus, 2000, interpolated=interpolated) == zero
+                table = evolution_table(corpus, [0, 2, 5], 1998, 2001, interpolated)
+                assert table.values == ((zero,) * 4,) * 3
+            assert rank_citations(corpus, YearWindow.through(2000), YearWindow(1995, 2000)) == RankedCitations(())
+            plain = evolution_output(corpus, [0, 2, 5], 1998, 2001)
+            assert [row[1:] for row in plain.rows] == [("0", "0", "0")] * 4
+            interp = evolution_output(corpus, [0, 2, 5], 1998, 2001, interpolated=True)
+            assert [row[1:] for row in interp.rows] == [("0.0000",) * 3] * 4
+            assert corpus._dense.prefix.shape == (1, 0)
 
     @given(small_corpora(), st.data())
     @settings(max_examples=80)

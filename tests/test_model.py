@@ -16,6 +16,8 @@ from citewindow import (
     PaperRecord,
     RankedCitations,
     YearWindow,
+    export_corpus_json,
+    parse_corpus_json,
     validate_corpus,
 )
 from helpers import small_corpora
@@ -225,6 +227,12 @@ class TestValidateCorpus:
     def test_papers_sorted_by_id(self):
         corpus = validate_corpus([PaperRecord("B", 2001), PaperRecord("A", 2000)])
         assert [p.id for p in corpus.papers] == ["A", "B"]
+
+    def test_repr_is_a_summary_that_builds_no_records(self, toy_corpus):
+        corpus = parse_corpus_json(export_corpus_json(toy_corpus))
+        assert repr(corpus) == "Corpus(3 papers, 7 citation rows)"
+        assert "papers" not in vars(corpus)
+        assert repr(validate_corpus([])) == "Corpus(0 papers, 0 citation rows)"
 
 
 class TestTotals:

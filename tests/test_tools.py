@@ -1,10 +1,15 @@
-"""``tools/loc.py``: which lines of a source file count as code."""
+"""``tools/loc.py``: which lines of a source file count as code;
+``tools/cli_peaks.py``: trees at paths of a given length."""
 
+import os
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
+from cli_peaks import path_of_length  # noqa: E402
 from loc import code_lines  # noqa: E402
 
 
@@ -53,3 +58,16 @@ def test_multi_line_strings_that_are_not_docstrings_count_every_line():
 
 def test_a_file_of_comments_and_a_docstring_has_no_code():
     assert count('"""Only a docstring."""', "", "# and a comment") == 0
+
+
+@pytest.mark.parametrize("length", [12, 13, 40])
+def test_path_of_length_pads_the_tag_to_the_length(length):
+    path = path_of_length("/tmp/x", "b", length)
+    assert len(path) == length
+    assert path.startswith(os.path.join("/tmp/x", "b"))
+    assert set(path[len("/tmp/x/b"):]) <= {"_"}
+
+
+def test_path_of_length_rejects_a_length_below_the_tag():
+    with pytest.raises(ValueError):
+        path_of_length("/tmp/x", "b", 7)
