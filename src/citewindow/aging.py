@@ -113,11 +113,12 @@ def _checked_quantiles(quantiles) -> list[Fraction]:
 def _ceil_share(totals: np.ndarray, q: Fraction) -> np.ndarray:
     """ceil(q * total) for every total, exactly.
 
-    The result never exceeds the total, but ``numerator * total`` may pass
-    int64 (a long decimal quantile on a large total); then the product is
-    taken in Python integers.
+    The result never exceeds the total, but ``numerator * total`` or the
+    denominator may pass int64 (a long decimal quantile, a large total or
+    a tiny q); then the division is taken in Python integers.
     """
-    if totals.size and q.numerator * int(totals.max()) > np.iinfo(np.int64).max:
+    largest = int(totals.max(initial=0))
+    if max(q.numerator * largest, q.denominator) > np.iinfo(np.int64).max:
         totals = totals.astype(object)
     return (-(-totals * q.numerator // q.denominator)).astype(np.int64)
 

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import indices, tables
 from .errors import CorpusError, InvalidRangeError
+from .indices import _MAX_DELTA
 from .ingest import IngestOptions, parse_corpus_csv, parse_corpus_json
 from .model import _YEAR_MAX, _YEAR_MIN, Corpus, YearWindow
 from .rational import as_fraction, format_fixed
@@ -36,10 +37,10 @@ def load_corpus(paths: list[str], lenient: bool = False) -> Corpus:
     raise ValueError("expected 1 JSON path or 2 CSV paths")
 
 
-def _load(parser, args, lenient: bool = False) -> Corpus:
+def _load(parser, args) -> Corpus:
     if len(args.corpus) not in (1, 2):
         parser.error("expected 1 JSON corpus path or 2 CSV paths (papers, citations)")
-    return load_corpus(args.corpus, lenient)
+    return load_corpus(args.corpus, args.lenient)
 
 
 def _write(text: str, output: str | None) -> None:
@@ -68,6 +69,7 @@ _NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _YEAR = _checked(int, lambda v: _YEAR_MIN <= v <= _YEAR_MAX, f"a year in {_YEAR_MIN}..{_YEAR_MAX}")
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _NON_NEGATIVE_RATIONAL = _checked(as_fraction, lambda v: v >= 0, "a number >= 0")
+_DELTA = _checked(int, lambda v: abs(v) <= _MAX_DELTA, f"an integer in -{_MAX_DELTA}..{_MAX_DELTA}")
 _SHARE = _checked(as_fraction, lambda v: 0 < v <= 1, "a fraction in (0, 1]")
 _PERCENTAGE = _checked(as_fraction, lambda v: 0 < v <= 100, "a percentage in (0, 100]")
 _WINDOW_LENGTH = _checked(
@@ -109,7 +111,7 @@ def _emit_tables(args, *named_tables: tuple[str, tables.OutputTable]) -> None:
 
 
 def cmd_validate(parser, args) -> int:
-    corpus = _load(parser, args, lenient=args.lenient)
+    corpus = _load(parser, args)
     _write(tables.corpus_summary(corpus) + "\n", args.output)
     return 0
 
@@ -212,6 +214,11 @@ def _add_corpus_argument(sub) -> None:
         metavar="PATH",
         help="corpus JSON file, or papers CSV followed by citations CSV",
     )
+    sub.add_argument(
+        "--lenient",
+        action="store_true",
+        help="clamp citations recorded before the publication year",
+    )
 
 
 def _add_output_arguments(sub, formats: bool = True) -> None:
@@ -229,11 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="parse a corpus and print a summary")
     _add_corpus_argument(p)
-    p.add_argument(
-        "--lenient",
-        action="store_true",
-        help="clamp citations recorded before the publication year",
-    )
     _add_output_arguments(p, formats=False)
     p.set_defaults(handler=cmd_validate)
 
@@ -285,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--gamma", type=_NON_NEGATIVE_RATIONAL, help="scale factor for contemporary (default 4)"
     )
-    p.add_argument("--delta", type=int, help="integer age exponent for contemporary (default 1)")
+    p.add_argument("--delta", type=_DELTA, help="integer age exponent for contemporary (default 1)")
     _add_output_arguments(p, formats=False)
     p.set_defaults(handler=cmd_index)
 

@@ -17,11 +17,23 @@ sort.  The zeros sort last, so they change neither h nor the
 interpolation.  A single query is a one-cell chunk, and a whole evolution
 table for an author-sized corpus is a handful of chunks.
 
+A one-cell chunk wider than the cache's top block (the papers with the
+largest lifetime totals, on corpora of more than 4 x 4096 papers) first
+sorts only the block's columns inside its slice.  A window count never
+exceeds the paper's lifetime total, so every paper outside the block
+counts at most ``bound``, the largest lifetime total outside it.  The
+block's h, c(h) and c(h + 1) are then the slice's own when ``bound`` is 0
+(every other count is 0 and sorts last), or when the block's sorted
+counts have an (h + 1)-th entry of at least ``bound``: its first h + 1
+entries then lead the whole slice, and c(h + 1) < h + 1.  Otherwise the
+cell sorts its whole slice.  Wide cells on large corpora usually have an
+h in the hundreds and tens of thousands of columns, so most settle.
+
 Only the cache, ``model._DenseCounts``, reads its prefix rows: this
 module plans the chunks and asks it for one cell's sorted counts
-(``_cell_counts``) or a chunk's masked, row-sorted block
-(``_chunk_counts``).  An empty corpus has a 1 x 0 cache, so every window
-over it selects no paper and gives h = 0.
+(``_cell_counts``), their top-block part (``_top_counts``) or a chunk's
+masked, row-sorted block (``_chunk_counts``).  An empty corpus has a
+1 x 0 cache, so every window over it selects no paper and gives h = 0.
 
 h is read from the sorted chunk by bound and count.  The column-wise
 maximum of the descending rows is itself non-increasing and lies above
@@ -288,6 +300,23 @@ def _chunk_rows(desc: np.ndarray) -> tuple[list, list, list]:
     return h.tolist(), padded[picked, h].tolist(), padded[picked, h + 1].tolist()
 
 
+def _cell_row(dense, cell) -> tuple[np.ndarray, int]:
+    """One cell's counts in descending order and their h.
+
+    The counts are the top block's part of the cell when that settles h,
+    c(h) and c(h + 1), and the whole slice otherwise; see the module
+    docstring.
+    """
+    top = dense._top_counts(*cell)
+    if top is not None:
+        row, bound = top
+        h = _h_index(row)
+        if bound == 0 or (h < row.size and row.item(h) >= bound):
+            return row, h
+    row = dense._cell_counts(*cell)
+    return row, _h_index(row)
+
+
 def _window_rows(corpus: Corpus, windows) -> tuple[list, list, list]:
     """h, c(h) and c(h + 1) of every (pub_start, pub_end, cite_start, cite_end)
     window, as three lists of Python ints.
@@ -301,8 +330,7 @@ def _window_rows(corpus: Corpus, windows) -> tuple[list, list, list]:
     for start, stop, first, last in _chunks(cells):
         if stop - start == 1:
             # One cell: its own slice, so no mask, and its bound is its h.
-            row = dense._cell_counts(*cells[start])
-            h = _h_index(row)
+            row, h = _cell_row(dense, cells[start])
             hs.append(h)
             c_hs.append(row.item(h - 1) if h else 0)
             c_h1s.append(row.item(h) if h < row.size else 0)
@@ -406,6 +434,10 @@ def author_impact_factor(corpus: Corpus, y: int, delta_t: int = 5) -> AifValue:
     return AifValue(int(corpus._totals(y, since=y)[selected].sum()), papers)
 
 
+# Largest |delta| of contemporary_h: its scores hold ages**|delta|.
+_MAX_DELTA = 100
+
+
 def _score_terms(totals: np.ndarray, ages: np.ndarray, gamma: Fraction, delta: int):
     """Numerators and denominators of the scores gamma * ages**-delta * totals.
 
@@ -456,8 +488,9 @@ def contemporary_h(
     Age counts the publication year itself, so a paper published in year
     y has age 1; papers published after y are ignored.  ``gamma`` must be
     a non-negative rational and ``delta`` an integer, so that every score
-    is an exact rational, and ``y`` must lie in 1000..9999; other values
-    raise :class:`InvalidRangeError`.
+    is an exact rational; ``|delta|`` must be at most 100, because the
+    scores' size and cost grow with it; and ``y`` must lie in 1000..9999.
+    Other values raise :class:`InvalidRangeError`.
     """
     if not _YEAR_MIN <= y <= _YEAR_MAX:
         raise InvalidRangeError(f"year {y} must lie in {_YEAR_MIN}..{_YEAR_MAX}")
@@ -465,8 +498,10 @@ def contemporary_h(
     delta = as_fraction(delta)
     if gamma < 0:
         raise InvalidRangeError(f"gamma must be non-negative, got {gamma}")
-    if delta.denominator != 1:
-        raise InvalidRangeError(f"delta must be an integer, got {delta}")
+    if delta.denominator != 1 or abs(delta) > _MAX_DELTA:
+        raise InvalidRangeError(
+            f"delta must be an integer in -{_MAX_DELTA}..{_MAX_DELTA}, got {delta}"
+        )
     published = corpus._pub_year <= y
     num, den = _score_terms(
         corpus._totals(y)[published], y + 1 - corpus._pub_year[published], gamma, int(delta)

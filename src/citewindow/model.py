@@ -53,6 +53,8 @@ __all__ = [
 
 _YEAR_MIN, _YEAR_MAX = 1000, 9999
 _MAX_COUNT = 2**31 - 1
+# Papers in the count cache's top block; read when a block is built.
+_TOP_COLUMNS = 4096
 
 # NumPy's thread-local state, a 46 KB block that is never freed, is
 # allocated when first used: by default, in the middle of a parse, at the
@@ -204,13 +206,24 @@ class _DenseCounts:
     has a 1 x 0 cache, so every window over it counts nothing.
 
     Only this class reads ``prefix``: a window's counts come out of
-    :meth:`_cell_counts` (one :meth:`slices` cell) and
-    :meth:`_chunk_counts` (a run of cells), both in descending order.
+    :meth:`_cell_counts` (one :meth:`slices` cell), :meth:`_top_counts`
+    (the top block's part of one cell) and :meth:`_chunk_counts` (a run of
+    cells), all in descending order.
 
     ``prefix`` is int32 when no paper's total exceeds 2**31 - 1, and int64
     otherwise.  The bound is exact: every prefix entry, and so every
     window count, is a partial sum of one paper's citations.  Readers take
     Python ints out of it, so the dtype changes no result.
+
+    A corpus of more than 4 x :data:`_TOP_COLUMNS` papers also gets, on
+    first use, a top block: the prefix columns of the ``_TOP_COLUMNS``
+    papers with the largest lifetime totals (``prefix[-1]``), in the same
+    column order, and ``bound``, the largest lifetime total of any paper
+    outside it.  Since a window count never exceeds the paper's lifetime
+    total, no paper outside the block counts more than ``bound`` in any
+    window; :meth:`_top_counts` hands out the block's part of a wide
+    cell, and ``indices`` decides from ``bound`` whether that part alone
+    settles the cell's h.
     """
 
     def __init__(self, corpus: "Corpus"):
@@ -252,6 +265,32 @@ class _DenseCounts:
         row = self.prefix[hi, first:last] - self.prefix[lo, first:last]
         row.sort()
         return row[::-1]
+
+    @cached_property
+    def _top(self) -> tuple[list, np.ndarray, int] | None:
+        """(columns, block, bound) of the top block, or None for a corpus
+        of at most 4 x :data:`_TOP_COLUMNS` papers."""
+        size, totals = _TOP_COLUMNS, self.prefix[-1]
+        if totals.size <= 4 * size:
+            return None
+        rest = totals.size - size
+        # Position rest - 1 holds the largest total outside the block.
+        order = np.argpartition(totals, rest - 1)
+        columns = np.sort(order[rest:])
+        return columns.tolist(), self.prefix[:, columns], int(totals[order[rest - 1]])
+
+    def _top_counts(self, first, last, lo, hi) -> tuple[np.ndarray, int] | None:
+        """The top block's window counts inside one :meth:`slices` cell, in
+        descending order, and ``bound``; None when the corpus has no block
+        or the cell is not wider than it."""
+        top = self._top
+        if top is None or last - first <= len(top[0]):
+            return None
+        columns, block, bound = top
+        a, b = bisect_left(columns, first), bisect_left(columns, last)
+        row = block[hi, a:b] - block[lo, a:b]
+        row.sort()
+        return row[::-1], bound
 
     def _chunk_counts(self, cells, first, last) -> np.ndarray:
         """One row per cell of ``cells``, each in descending order, over the

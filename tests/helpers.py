@@ -1,4 +1,4 @@
-"""Shared corpus generators for the test suite.
+"""Shared corpus generators and the brute-force h oracle for the test suite.
 
 The seeded numpy generators produce corpora at the scale the acceptance
 gate demands; the hypothesis strategies build smaller corpora for
@@ -45,6 +45,43 @@ def random_window(rng, corpus: Corpus, unbounded_p=0.25) -> YearWindow:
     if start > end:
         start, end = end, start
     return YearWindow(start, end)
+
+
+class Oracle:
+    """Brute-force reference: try every k and count the papers that reach it.
+
+    Works from the raw per-paper, per-year count matrix built directly
+    off the records; shares no code with the library kernel.
+    """
+
+    def __init__(self, corpus):
+        self.base = corpus.y0
+        self.n_years = corpus.y_end - self.base + 1
+        self.raw = np.zeros((len(corpus.papers), self.n_years), dtype=np.int64)
+        for row, paper in enumerate(corpus.papers):
+            for year, count in paper.citations:
+                self.raw[row, year - self.base] = count
+        self.pub_years = np.array([p.pub_year for p in corpus.papers], dtype=np.int64)
+
+    def h(self, pub_window: YearWindow, cite_window: YearWindow) -> int:
+        included = self.pub_years <= pub_window.end
+        if pub_window.start is not None:
+            included &= self.pub_years >= pub_window.start
+        n = int(included.sum())
+        if n == 0:
+            return 0
+        lo = 0
+        if cite_window.start is not None:
+            lo = min(max(cite_window.start - self.base, 0), self.n_years)
+        hi = min(max(cite_window.end - self.base + 1, 0), self.n_years)
+        sums = self.raw[:, lo:hi].sum(axis=1) if hi > lo else np.zeros(len(included), dtype=np.int64)
+        counts = np.where(included, sums, -1)
+        # For every threshold k in [0, n]: how many papers reach k?
+        # (histogram of counts clipped into [-1, n], suffix-summed)
+        hist = np.bincount(np.clip(counts, -1, n) + 1, minlength=n + 2)
+        reach_k = hist[::-1].cumsum()[::-1][1:]
+        ks = np.arange(0, n + 1)
+        return int(ks[reach_k >= ks].max())
 
 
 @st.composite

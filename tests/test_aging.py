@@ -68,6 +68,13 @@ class TestQuantileWindows:
         qw = quantile_windows(paper, [0.9], 2005)
         assert qw.t_q[Fraction(9, 10)] == 0
 
+    def test_tiny_quantile_reaches_the_first_citation(self):
+        # Denominators past int64 (2**63 and up) used to overflow numpy's division.
+        paper = PaperRecord("P", 2000, {2003: 2**31 - 1, 2007: 5})
+        tiny = [Fraction(1, 10**30), Fraction(1, 2**63), Fraction(1, 2**63 - 1)]
+        qw = quantile_windows(paper, tiny, 2010)
+        assert qw.t_q == {q: 3 for q in tiny}
+
     @given(small_corpora(), st.integers(0, 5))
     @settings(max_examples=80)
     def test_monotone_in_quantile(self, corpus, extra):

@@ -69,6 +69,33 @@ class TestValidate:
         assert code == 0
         assert out == "1 papers, 2000-2000, 1 citations\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolution", "--interpolated", "--t-list", "0,1,all"],
+            ["aging", "--min-citations", "0"],
+            ["groups", "--mode", "yearly"],
+            ["index", "--preset", "contemporary", "--year", "2004", "--interpolated"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_subcommand_takes_lenient(self, capsys, tmp_path, argv):
+        early = tmp_path / "early.json"
+        early.write_text(
+            '[{"id":"P","pub_year":2000,"citations":{"1997":2,"1998":1,"2000":1,"2003":4}},'
+            '{"id":"Q","pub_year":2001,"citations":{"2001":3,"2002":1}}]'
+        )
+        clamped = tmp_path / "clamped.json"
+        clamped.write_text(
+            '[{"id":"P","pub_year":2000,"citations":{"2000":4,"2003":4}},'
+            '{"id":"Q","pub_year":2001,"citations":{"2001":3,"2002":1}}]'
+        )
+        command, *flags = argv
+        assert run(capsys, command, str(early), *flags)[0] == 1
+        code, out, err = run(capsys, command, str(early), *flags, "--lenient")
+        assert (code, out, err) == run(capsys, command, str(clamped), *flags)
+        assert (code, err) == (0, "")
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "validate", str(tmp_path / "nope.json"))
         assert code == 1
@@ -180,6 +207,20 @@ class TestAging:
         )
         assert out.splitlines()[0] == "rank,paper_id,pub_year,age,total,t10,t99,recently_cited"
 
+    def test_tiny_quantile_is_the_first_citation_age(self, capsys, tmp_path):
+        doc = tmp_path / "c.json"
+        doc.write_text(
+            '[{"id":"P","pub_year":2000,"citations":{"2003":2147483647,"2006":1}},'
+            '{"id":"Q","pub_year":2001,"citations":{"2001":2,"2004":3}}]'
+        )
+        code, out, err = run(capsys, "aging", str(doc), "--quantiles", "1e-17", "--min-citations", "0")
+        assert (code, err) == (0, "")
+        assert out == (
+            "rank,paper_id,pub_year,age,total,t1e-17,recently_cited\n"
+            "1,P,2000,6,2147483648,3,1\n"
+            "2,Q,2001,5,5,0,0\n"
+        )
+
     def test_recency_flag(self, capsys, toy_json):
         _, out, _ = run(capsys, "aging", toy_json, "--min-citations", "0")
         by_id = {line.split(",")[1]: line.split(",")[-1] for line in out.splitlines()[1:]}
@@ -269,6 +310,11 @@ class TestIndex:
         )
         assert (code, out) == (0, "2\n")
 
+    @pytest.mark.parametrize("delta, out", [("100", "0\n"), ("-100", "3\n")])
+    def test_preset_contemporary_delta_bound(self, capsys, toy_json, delta, out):
+        argv = ["--preset", "contemporary", "--year", "2005", "--delta", delta]
+        assert run(capsys, "index", toy_json, *argv) == (0, out, "")
+
     def test_bounded_window_selector(self, capsys, toy_json):
         code, out, _ = run(
             capsys, "index", toy_json, "--pub-window", "2000:2001", "--cite-window", "2000:2001"
@@ -299,6 +345,9 @@ class TestIndex:
             ["--preset", "contemporary", "--year", "2005", "--gamma", "abc"],
             ["--preset", "contemporary", "--year", "2005", "--gamma", "-1"],
             ["--preset", "contemporary", "--year", "2005", "--delta", "0.5"],
+            ["--preset", "contemporary", "--year", "2005", "--delta", "101"],
+            ["--preset", "contemporary", "--year", "2005", "--delta", "-101"],
+            ["--preset", "contemporary", "--year", "2005", "--delta", "99999999999999999999"],
         ],
     )
     def test_usage_errors_exit_2(self, capsys, toy_json, argv):

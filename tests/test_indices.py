@@ -1,6 +1,8 @@
 """Windowed h-index kernel and the named presets."""
 
 import math
+from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -28,8 +30,9 @@ from citewindow import (
     validate_corpus,
     windowed_h,
 )
+from citewindow import indices, model
 from citewindow.tables import evolution_output
-from helpers import ranked_vectors, small_corpora
+from helpers import Oracle, random_corpus, random_window, ranked_vectors, small_corpora
 
 
 def brute_force_h(values) -> int:
@@ -376,6 +379,149 @@ class TestCountCacheDtype:
         assert corpus._dense.prefix.dtype == dtype
 
 
+class TestTopBlock:
+    """Wide one-cell windows try the cache's top block before the whole slice.
+
+    The block's size is shrunk to a few papers, so that small corpora of
+    more than four times as many papers build it.  Every value is checked
+    against the brute-force oracle and against the block-free path:
+    :func:`rank_citations` sorts the whole slice, and its ranked counts
+    give h and the interpolation.
+    """
+
+    @staticmethod
+    @contextmanager
+    def shrunk(size):
+        """The top block at ``size`` papers, and one-cell chunks for every
+        grid cell; yields a tally of the wide cells that the block settled
+        and of those it handed to the whole slice."""
+        tally = Counter()
+        cell_row = indices._cell_row
+
+        def counted(dense, cell):
+            row, h = cell_row(dense, cell)
+            if dense._top_counts(*cell) is not None:
+                first, last = cell[:2]
+                # The block holds fewer columns than the cell it was tried on.
+                tally["settled" if row.size < last - first else "whole"] += 1
+            return row, h
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "_TOP_COLUMNS", size)
+            patch.setattr(indices, "_CHUNK_ELEMENTS", 0)
+            patch.setattr(indices, "_cell_row", counted)
+            yield tally
+
+    @staticmethod
+    def check(corpus, rng, windows=20):
+        """Every query kind on ``corpus`` equals the oracle and the block-free path."""
+        oracle = Oracle(corpus)
+
+        def expect(pub, cite, value, interpolated):
+            ranked = rank_citations(corpus, pub, cite)
+            h = h_from_ranked(ranked)
+            assert value == IndexValue(h, interpolate_h(ranked, h) if interpolated else None)
+            assert h == oracle.h(pub, cite)
+
+        for _ in range(windows):
+            pub, cite = random_window(rng, corpus), random_window(rng, corpus)
+            for interpolated in (False, True):
+                expect(pub, cite, windowed_h(corpus, pub, cite, interpolated), interpolated)
+        for y in range(corpus.y0 - 1, corpus.y_end + 2):
+            for t in (0, 3, 50):
+                window = YearWindow(y - t, y)
+                expect(window, window, timed_h(corpus, y, t, interpolated=True), True)
+            value = h5_index(corpus, y, interpolated=True)
+            expect(YearWindow.through(y), YearWindow(y - 5, y), value, True)
+        for interpolated in (False, True):
+            table = evolution_table(corpus, [0, 2, 7, ALL], interpolated=interpolated)
+            for t, row in zip(table.t_values, table.values):
+                for y, value in zip(table.years, row):
+                    window = YearWindow(corpus.y0 if t is ALL else y - t, y)
+                    expect(window, window, value, interpolated)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.sampled_from([1, 3, 50]))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_oracle_and_block_free_path(self, seed, size, max_count):
+        rng = np.random.default_rng(seed)
+        with self.shrunk(size):
+            corpus = random_corpus(rng, max_papers=80, max_career=15, max_count=max_count)
+            self.check(corpus, rng)
+
+    def test_settles_some_cells_and_hands_on_others(self):
+        rng = np.random.default_rng(1620)
+        with self.shrunk(4) as tally:
+            for max_count in (1, 2, 3, 50):
+                for _ in range(3):
+                    corpus = random_corpus(rng, max_papers=80, max_career=15, max_count=max_count)
+                    self.check(corpus, rng)
+        assert tally["settled"] > 0
+        assert tally["whole"] > 0
+
+    @pytest.mark.parametrize("papers, has_block", [(16, False), (17, True)])
+    def test_built_only_above_four_times_its_size(self, papers, has_block):
+        corpus = validate_corpus(
+            [PaperRecord(f"p{i:02d}", 2000 + i % 5, {2010: i + 1}) for i in range(papers)]
+        )
+        with self.shrunk(4):
+            top = corpus._dense._top
+        assert (top is not None) == has_block
+        if has_block:
+            # The four largest totals, 14..17, in publication-year order; 13 is the next.
+            columns, block, bound = top
+            assert block[-1].tolist() == [16, 17, 14, 15]
+            assert block.tolist() == corpus._dense.prefix[:, columns].tolist()
+            assert bound == 13
+
+    def test_bound_zero_settles_every_wide_cell(self):
+        # Three cited papers among twenty: every paper outside the block has 0.
+        cited = {"a": {2001: 5, 2004: 2}, "b": {2002: 1}, "c": {2003: 4, 2005: 4}}
+        corpus = validate_corpus(
+            [PaperRecord(f"u{i:02d}", 2000 + i % 3) for i in range(17)]
+            + [PaperRecord(paper_id, 2001, citations) for paper_id, citations in cited.items()]
+        )
+        with self.shrunk(4) as tally:
+            assert corpus._dense._top[2] == 0
+            self.check(corpus, np.random.default_rng(7))
+            # Six uncited papers each, so the block part is empty; the first
+            # window ends just before the block's first column.
+            for pub in (YearWindow(1999, 2000), YearWindow(2002, 2005)):
+                value = windowed_h(corpus, pub, YearWindow.through(2005), interpolated=True)
+                assert value == IndexValue(0, Fraction(0))
+        assert tally["settled"] > 0
+        assert tally["whole"] == 0
+
+    def test_window_without_block_columns_sorts_the_whole_slice(self):
+        # The two heavy papers of 2010 form the block; 2000..2004 holds none of it.
+        corpus = validate_corpus(
+            [PaperRecord(f"light{i}", 2000 + i % 5, {2005: i % 4 + 1, 2006: 1}) for i in range(10)]
+            + [PaperRecord(f"heavy{i}", 2010, {2010: 100 + i}) for i in range(2)]
+        )
+        with self.shrunk(2) as tally:
+            window = YearWindow(2000, 2004)
+            value = windowed_h(corpus, window, YearWindow.through(2010), interpolated=True)
+            assert corpus._dense._top[2] == 5
+        assert tally == Counter(whole=1)
+        assert value == IndexValue(4, Fraction(4))
+
+    def test_int64_cache(self):
+        big = 2**31 - 1
+        papers = [
+            PaperRecord("huge", 2000, {2000: big, 2003: big}),
+            PaperRecord("a", 2001, {2002: 6, 2004: 4}),
+            PaperRecord("b", 2002, {2003: 10}),
+            PaperRecord("c", 2003, {2005: 2}),
+        ]
+        papers += [PaperRecord(f"p{i:02d}", 2000 + i % 4, {2004 + i % 2: 1}) for i in range(18)]
+        corpus = validate_corpus(papers)
+        with self.shrunk(4) as tally:
+            self.check(corpus, np.random.default_rng(11))
+            columns, block, bound = corpus._dense._top
+        assert block.dtype == np.int64
+        assert block[-1].max() == 2 * big
+        assert tally["settled"] > 0 and tally["whole"] > 0
+
+
 class TestH5Index:
     def test_default_span(self, toy_corpus):
         assert h5_index(toy_corpus, 2005).h == 2
@@ -447,6 +593,16 @@ class TestContemporaryH:
         for gamma, delta in ((4, Fraction(1, 2)), (4, 0.5), (-1, 1), (Fraction(-1, 2), 0)):
             with pytest.raises(InvalidRangeError):
                 contemporary_h(toy_corpus, 2005, gamma=gamma, delta=delta)
+
+    @pytest.mark.parametrize("delta, h", [(100, 0), (-100, 3)])
+    def test_delta_bound_is_accepted(self, toy_corpus, delta, h):
+        # Ages 6, 5 and 2 in 2005: every score is below 1 or above 3.
+        assert contemporary_h(toy_corpus, 2005, delta=delta, interpolated=True).h == h
+
+    @pytest.mark.parametrize("delta", [101, -101, 10**20])
+    def test_delta_past_the_bound_rejected(self, toy_corpus, delta):
+        with pytest.raises(InvalidRangeError, match="-100..100"):
+            contemporary_h(toy_corpus, 2005, delta=delta, interpolated=True)
 
     @pytest.mark.parametrize("y", [999, 10000, 10**20, -(10**20)])
     def test_year_outside_bounds_rejected(self, toy_corpus, y):
