@@ -115,12 +115,15 @@ def _ceil_share(totals: np.ndarray, q: Fraction) -> np.ndarray:
 
     The result never exceeds the total, but ``numerator * total`` or the
     denominator may pass int64 (a long decimal quantile, a large total or
-    a tiny q); then the division is taken in Python integers.
+    a tiny q); then the division is taken in Python integers, once per
+    distinct total, so its cost follows the distinct totals, not the papers.
     """
     largest = int(totals.max(initial=0))
-    if max(q.numerator * largest, q.denominator) > np.iinfo(np.int64).max:
-        totals = totals.astype(object)
-    return (-(-totals * q.numerator // q.denominator)).astype(np.int64)
+    if max(q.numerator * largest, q.denominator) <= np.iinfo(np.int64).max:
+        return -(-totals * q.numerator // q.denominator)
+    distinct, where = np.unique(totals, return_inverse=True)
+    shares = [-(-total * q.numerator // q.denominator) for total in distinct.tolist()]
+    return np.array(shares, dtype=np.int64)[where]
 
 
 def _quantile_windows(corpus: Corpus, ref_year: int, quantiles) -> np.ndarray:
@@ -274,11 +277,16 @@ def group_yearly_counts(corpus: Corpus, partition: GroupPartition) -> list[list[
     row_paper = corpus._row_paper
     rows = (corpus._years <= partition.ref_year) & (group_of[row_paper] >= 0)
     ages = corpus._years[rows] - corpus._pub_year[row_paper[rows]]
-    width = int(ages.max()) + 1 if ages.size else 0
-    table = np.zeros((len(partition.groups), width), dtype=np.int64)
-    np.add.at(table, (group_of[row_paper[rows]], ages), corpus._counts[rows])
-    result = []
-    for counts in table:
-        cited = np.flatnonzero(counts)
-        result.append(counts[: cited[-1] + 1].tolist() if cited.size else [])
-    return result
+    groups = group_of[row_paper[rows]]
+    # Every row holds a positive count, so a group's counts run to its
+    # oldest row's age.  The groups' runs lie end to end, group g's from
+    # starts[g], so the table grows with the output, not groups x ages.
+    last = np.full(len(partition.groups), -1, dtype=np.int64)
+    np.maximum.at(last, groups, ages)
+    starts = np.zeros(last.size + 1, dtype=np.int64)
+    np.cumsum(last + 1, out=starts[1:])
+    ages += starts[groups]  # each row's place in the table
+    table = np.zeros(int(starts[-1]), dtype=np.int64)
+    np.add.at(table, ages, corpus._counts[rows])
+    counts, bounds = table.tolist(), starts.tolist()
+    return [counts[a:b] for a, b in zip(bounds, bounds[1:])]

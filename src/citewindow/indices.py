@@ -19,15 +19,22 @@ table for an author-sized corpus is a handful of chunks.
 
 A one-cell chunk wider than the cache's top block (the papers with the
 largest lifetime totals, on corpora of more than 4 x 4096 papers) first
-sorts only the block's columns inside its slice.  A window count never
-exceeds the paper's lifetime total, so every paper outside the block
-counts at most ``bound``, the largest lifetime total outside it.  The
-block's h, c(h) and c(h + 1) are then the slice's own when ``bound`` is 0
-(every other count is 0 and sorts last), or when the block's sorted
-counts have an (h + 1)-th entry of at least ``bound``: its first h + 1
-entries then lead the whole slice, and c(h + 1) < h + 1.  Otherwise the
-cell sorts its whole slice.  Wide cells on large corpora usually have an
-h in the hundreds and tens of thousands of columns, so most settle.
+sorts only the block's columns inside its slice.  The cache also bounds
+what any paper outside the block can count in the cell's citation years:
+no more than the largest total any of them has up to the last of those
+years, and no more than the sum, over those years, of the largest
+single-year count among them.  Each holds for every such paper, since
+its window count is its total up to the window's end less its total
+before the window, and also the sum of its own counts in the window's
+years; so ``bound``, the smaller of the two, holds as well.  It is never
+looser than the largest lifetime total outside the block, and for a short
+or early window it is usually much tighter.  The block's h, c(h) and
+c(h + 1) are then the slice's own when ``bound`` is 0 (every other count
+is 0 and sorts last), or when the block's sorted counts have an
+(h + 1)-th entry of at least ``bound``: its first h + 1 entries then lead
+the whole slice, and c(h + 1) < h + 1.  Otherwise the cell sorts its
+whole slice.  Wide cells on large corpora usually have an h in the
+hundreds and tens of thousands of columns, so nearly all settle.
 
 Only the cache, ``model._DenseCounts``, reads its prefix rows: this
 module plans the chunks and asks it for one cell's sorted counts

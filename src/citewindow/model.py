@@ -218,12 +218,19 @@ class _DenseCounts:
     A corpus of more than 4 x :data:`_TOP_COLUMNS` papers also gets, on
     first use, a top block: the prefix columns of the ``_TOP_COLUMNS``
     papers with the largest lifetime totals (``prefix[-1]``), in the same
-    column order, and ``bound``, the largest lifetime total of any paper
-    outside it.  Since a window count never exceeds the paper's lifetime
-    total, no paper outside the block counts more than ``bound`` in any
-    window; :meth:`_top_counts` hands out the block's part of a wide
-    cell, and ``indices`` decides from ``bound`` whether that part alone
-    settles the cell's h.
+    column order, and two bounds over the papers outside it, per prefix
+    row j: ``upto[j]``, the most citations any of them has in
+    ``years[:j]``, and ``within[j]``, the sum over rows 1..j of the
+    largest single-year count ``prefix[i] - prefix[i - 1]`` of any of
+    them.  A paper's count in the rows lo..hi is
+    ``prefix[hi] - prefix[lo]``, which is at most ``prefix[hi]`` and at
+    most the sum of its own counts in the years ``years[lo:hi]``, so no
+    paper outside the block counts more than
+    ``min(upto[hi], within[hi] - within[lo])`` in that window.
+    :meth:`_top_counts` hands out the block's part of a wide cell with
+    that bound, and ``indices`` decides from the bound whether that part
+    alone settles the cell's h.  ``upto[-1]`` is the largest lifetime
+    total outside the block, so the bound is never looser than that.
     """
 
     def __init__(self, corpus: "Corpus"):
@@ -267,30 +274,41 @@ class _DenseCounts:
         return row[::-1]
 
     @cached_property
-    def _top(self) -> tuple[list, np.ndarray, int] | None:
-        """(columns, block, bound) of the top block, or None for a corpus
-        of at most 4 x :data:`_TOP_COLUMNS` papers."""
+    def _top(self) -> tuple[list, np.ndarray, list, list] | None:
+        """(columns, block, upto, within) of the top block, or None for a
+        corpus of at most 4 x :data:`_TOP_COLUMNS` papers."""
         size, totals = _TOP_COLUMNS, self.prefix[-1]
         if totals.size <= 4 * size:
             return None
         rest = totals.size - size
-        # Position rest - 1 holds the largest total outside the block.
-        order = np.argpartition(totals, rest - 1)
-        columns = np.sort(order[rest:])
-        return columns.tolist(), self.prefix[:, columns], int(totals[order[rest - 1]])
+        columns = np.sort(np.argpartition(totals, rest - 1)[rest:])
+        # One pass over the rows in two buffers.  ``row`` takes prefix row j
+        # with the block's columns zeroed; ``rise`` holds row j - 1 and then
+        # becomes row j's rise over it, and the two swap for row j + 1.
+        upto, within = [0], [0]
+        row, rise = np.empty_like(totals), np.zeros_like(totals)
+        for j in range(1, self.prefix.shape[0]):
+            np.copyto(row, self.prefix[j])
+            row[columns] = 0
+            upto.append(int(row.max()))
+            np.subtract(row, rise, out=rise)
+            within.append(within[-1] + int(rise.max()))
+            row, rise = rise, row
+        return columns.tolist(), self.prefix[:, columns], upto, within
 
     def _top_counts(self, first, last, lo, hi) -> tuple[np.ndarray, int] | None:
         """The top block's window counts inside one :meth:`slices` cell, in
-        descending order, and ``bound``; None when the corpus has no block
-        or the cell is not wider than it."""
+        descending order, and the most any paper outside the block counts
+        in the cell's citation rows; None when the corpus has no block or
+        the cell is not wider than it."""
         top = self._top
         if top is None or last - first <= len(top[0]):
             return None
-        columns, block, bound = top
+        columns, block, upto, within = top
         a, b = bisect_left(columns, first), bisect_left(columns, last)
         row = block[hi, a:b] - block[lo, a:b]
         row.sort()
-        return row[::-1], bound
+        return row[::-1], min(upto[hi], within[hi] - within[lo])
 
     def _chunk_counts(self, cells, first, last) -> np.ndarray:
         """One row per cell of ``cells``, each in descending order, over the

@@ -1,7 +1,10 @@
 """Aging analytics: quantile windows, mass groups, group curves."""
 
+import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,9 +23,19 @@ from citewindow import (
     recently_cited_count,
     validate_corpus,
 )
+from citewindow import aging
 from helpers import small_corpora
 
 QUARTILES = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10))
+
+
+def traced(compute):
+    """``compute()`` and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        return compute(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestQuantileWindows:
@@ -74,6 +87,17 @@ class TestQuantileWindows:
         tiny = [Fraction(1, 10**30), Fraction(1, 2**63), Fraction(1, 2**63 - 1)]
         qw = quantile_windows(paper, tiny, 2010)
         assert qw.t_q == {q: 3 for q in tiny}
+
+    def test_long_quantile_costs_per_distinct_total(self):
+        # 10 000 totals, 640 of them distinct, and a 4 000-digit quantile.
+        # One Python division per paper peaked at 18.9 MB.
+        totals = np.arange(10_000, dtype=np.int64) % 640 * 7 + 1
+        q = Fraction("0." + "3" * 4000)
+        shares, peak = traced(lambda: aging._ceil_share(totals, q))
+        ceilings = {total: math.ceil(q * total) for total in set(totals.tolist())}
+        assert shares.dtype == np.int64
+        assert shares.tolist() == [ceilings[total] for total in totals.tolist()]
+        assert peak < 2_000_000
 
     @given(small_corpora(), st.integers(0, 5))
     @settings(max_examples=80)
@@ -225,6 +249,21 @@ class TestGroupCurves:
         partition = partition_by_mass(corpus, Fraction(1, 2))
         assert group_cumulative_curves(corpus, partition)[-1] == []
         assert group_yearly_counts(corpus, partition)[-1] == []
+
+    def test_yearly_memory_follows_the_output(self):
+        # One paper is cited 8 999 years after publication and 399 in their
+        # first year, each its own group: 9 399 counts in all, where a
+        # groups x ages table takes 400 x 9 000 x 8 bytes (28.8 MB).
+        corpus = validate_corpus(
+            [PaperRecord("old", 1000, {1000: 1, 9999: 1})]
+            + [PaperRecord(f"p{i:03d}", 2000, {2000: 1}) for i in range(399)]
+        )
+        partition = partition_by_mass(corpus, Fraction(1, 10**6))
+        assert len(partition) == 400
+        counts, peak = traced(lambda: group_yearly_counts(corpus, partition))
+        assert counts[0] == [1] + [0] * 8998 + [1]
+        assert counts[1:] == [[1]] * 399
+        assert peak < 1_000_000
 
     @given(small_corpora(), st.sampled_from([Fraction(1, 10), Fraction(15, 100), Fraction(1, 2)]))
     @settings(max_examples=100)

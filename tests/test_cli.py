@@ -1,8 +1,13 @@
 """Command line surface: tables, exit codes, determinism."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citewindow import PaperRecord, export_corpus_csv, export_corpus_json, parse_corpus_json
 from citewindow.cli import main
@@ -448,3 +453,94 @@ def test_subcommands_build_no_paper_records(capsys, monkeypatch, toy_json, toy_c
     assert built == []
     parse_corpus_json(TOY_JSON.encode()).papers
     assert len(built) == 3
+
+
+# Values every flag may draw, then each flag's own valid values, so that
+# drawn calls also get past argparse to the corpus and the analyses.
+FLAG_VALUES = ("0", "-1", str(10**20), str(-(10**20)), "1e-400", "1e400", "nan", "", "x", "5:1", "*:x")
+COMMAND_FLAGS = {
+    "validate": {},
+    "evolution": {
+        "--t-list": ("2,all", "0,1"),
+        "--from": ("2001",),
+        "--to": ("2004",),
+        "--format": ("json",),
+    },
+    "aging": {
+        "--min-citations": ("1",),
+        "--quantiles": ("50", "25,100"),
+        "--ref-year": ("2004",),
+        "--format": ("json",),
+    },
+    "groups": {
+        "--mass-fraction": ("0.5",),
+        "--mode": ("yearly",),
+        "--ref-year": ("2003",),
+        "--format": ("json",),
+    },
+    "index": {
+        "--year": ("2004",),
+        "--t": ("2",),
+        "--pub-window": ("2000:2004", "*:2005"),
+        "--cite-window": ("2001:2005",),
+        "--preset": ("h5", "aif", "contemporary"),
+        "--span": ("3",),
+        "--delta-t": ("2",),
+        "--gamma": ("2.5",),
+        "--delta": ("1", "100"),
+    },
+}
+SWITCHES = {"evolution": ("--interpolated",), "index": ("--interpolated",)}
+
+
+@pytest.fixture(scope="module")
+def corpora(tmp_path_factory):
+    """Corpus arguments by kind: toy JSON, toy CSV pair, empty, missing, malformed."""
+    root = tmp_path_factory.mktemp("corpora")
+    toy = parse_corpus_json(TOY_JSON.encode())
+    files = {"toy.json": TOY_JSON.encode(), "empty.json": b"[]", "malformed.json": b'[{"id": "P1",'}
+    files["papers.csv"], files["citations.csv"] = export_corpus_csv(toy)
+    for name, data in files.items():
+        (root / name).write_bytes(data)
+    return {
+        "json": [str(root / "toy.json")],
+        "csv": [str(root / "papers.csv"), str(root / "citations.csv")],
+        "empty": [str(root / "empty.json")],
+        "missing": [str(root / "missing.json")],
+        "malformed": [str(root / "malformed.json")],
+    }
+
+
+@st.composite
+def cli_calls(draw):
+    """(subcommand, corpus kind, flag arguments)."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    flags = COMMAND_FLAGS[command]
+    args = []
+    for flag in draw(st.permutations(sorted(flags)))[: draw(st.integers(0, 4))]:
+        args += [flag, draw(st.sampled_from(FLAG_VALUES + flags[flag]))]
+    args += draw(st.lists(st.sampled_from(("--lenient", *SWITCHES.get(command, ()))), unique=True))
+    kind = draw(st.sampled_from(("json", "csv", "empty", "missing", "malformed")))
+    return command, kind, args
+
+
+@given(call=cli_calls())
+@settings(max_examples=300, deadline=timedelta(seconds=2))
+def test_cli_contract(corpora, call):
+    """Every call exits 0 or 1, or 2 through argparse; exit 1 writes one
+    stderr line; nothing else escapes."""
+    command, kind, args = call
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main([command, *corpora[kind], *args])
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2
+            assert err.getvalue().startswith("usage:")
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    elif code == 0:
+        assert err.getvalue() == ""

@@ -4,6 +4,7 @@ import math
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -413,16 +414,17 @@ class TestTopBlock:
             yield tally
 
     @staticmethod
-    def check(corpus, rng, windows=20):
+    def expect(corpus, oracle, pub, cite, value, interpolated):
+        """``value`` equals the block-free path's, and its h the oracle's."""
+        ranked = rank_citations(corpus, pub, cite)
+        h = h_from_ranked(ranked)
+        assert value == IndexValue(h, interpolate_h(ranked, h) if interpolated else None)
+        assert h == oracle.h(pub, cite)
+
+    @classmethod
+    def check(cls, corpus, rng, windows=20):
         """Every query kind on ``corpus`` equals the oracle and the block-free path."""
-        oracle = Oracle(corpus)
-
-        def expect(pub, cite, value, interpolated):
-            ranked = rank_citations(corpus, pub, cite)
-            h = h_from_ranked(ranked)
-            assert value == IndexValue(h, interpolate_h(ranked, h) if interpolated else None)
-            assert h == oracle.h(pub, cite)
-
+        expect = partial(cls.expect, corpus, Oracle(corpus))
         for _ in range(windows):
             pub, cite = random_window(rng, corpus), random_window(rng, corpus)
             for interpolated in (False, True):
@@ -468,10 +470,90 @@ class TestTopBlock:
         assert (top is not None) == has_block
         if has_block:
             # The four largest totals, 14..17, in publication-year order; 13 is the next.
-            columns, block, bound = top
+            columns, block, upto, within = top
             assert block[-1].tolist() == [16, 17, 14, 15]
             assert block.tolist() == corpus._dense.prefix[:, columns].tolist()
-            assert bound == 13
+            assert upto == within == [0, 13]
+
+    def test_bounds_per_prefix_row(self):
+        # Outside the block of h1 and h2: a has 2 and then 7 citations, b 3
+        # and then 4, c one a year, and d 8 in the last year.
+        corpus = validate_corpus(
+            [
+                PaperRecord("a", 2000, {2001: 2, 2003: 7}),
+                PaperRecord("b", 2001, {2002: 3, 2003: 4}),
+                PaperRecord("c", 2000, {2001: 1, 2002: 1, 2003: 1}),
+                PaperRecord("d", 2002, {2003: 8}),
+                PaperRecord("h1", 2000, {2001: 50, 2002: 50, 2003: 50}),
+                PaperRecord("h2", 2001, {2003: 120}),
+            ]
+            + [PaperRecord(paper_id, 2001) for paper_id in "efg"]
+        )
+        with self.shrunk(2):
+            dense = corpus._dense
+            columns, block, upto, within = dense._top
+            # Columns: a, c, h1 (2000), b, e, f, g, h2 (2001), d (2002).
+            assert columns == [2, 7]
+            assert block.tolist() == [[0, 0], [50, 0], [100, 0], [150, 120]]
+            assert upto == [0, 2, 3, 9]
+            assert within == [0, 2, 5, 13]
+            # 2001..2002: upto is the tighter bound; 2003 alone: within is.
+            row, bound = dense._top_counts(*dense.slices(None, 2003, 2001, 2002))
+            assert (row.tolist(), bound) == ([100, 0], 3)
+            row, bound = dense._top_counts(*dense.slices(None, 2003, 2003, 2003))
+            assert (row.tolist(), bound) == ([120, 50], 8)
+            self.check(corpus, np.random.default_rng(5))
+
+    @staticmethod
+    def old_and_light(light, big):
+        """Four block papers with 5, 5, 3 and 2 citations in 2011; outside
+        the block, an old paper with nearly their lifetime totals, all
+        before 2011, and thirteen papers with ``light`` citations in 2011."""
+        top = [
+            PaperRecord(f"top{k}", 1999, {1999: big, 2000: big, 2011: count})
+            for k, count in enumerate((5, 5, 3, 2))
+        ]
+        old = PaperRecord("old", 1999, {1999: big, 2000: big - 1})
+        lights = [PaperRecord(f"light{i:02d}", 2000 + i % 5, {2011: light}) for i in range(13)]
+        return validate_corpus(top + [old] + lights)
+
+    @pytest.mark.parametrize("big", [90, 2**31 - 1], ids=["int32", "int64"])
+    @pytest.mark.parametrize("light, settles", [(1, True), (2, True), (3, False)])
+    def test_window_bound_settles_what_the_lifetime_bound_hands_on(self, light, settles, big):
+        # light == 2: the block's 4th entry equals the window bound exactly.
+        corpus = self.old_and_light(light, big)
+        pub, cite = YearWindow.through(2011), YearWindow(2011, 2011)
+        with self.shrunk(4) as tally:
+            value = windowed_h(corpus, pub, cite, interpolated=True)
+            dense = corpus._dense
+            row, bound = dense._top_counts(*dense.slices(None, 2011, 2011, 2011))
+            upto = dense._top[2]
+        assert dense.prefix.dtype == (np.int32 if big == 90 else np.int64)
+        assert (row.tolist(), bound) == ([5, 5, 3, 2], light)
+        # The old paper's lifetime total would hand the cell on.
+        assert row.item(3) < upto[-1] == 2 * big - 1
+        assert tally == (Counter(settled=1) if settles else Counter(whole=1))
+        self.expect(corpus, Oracle(corpus), pub, cite, value, True)
+        assert value.h == 3
+
+    @pytest.mark.parametrize(
+        "cite, rows",
+        [(YearWindow(2005, 2008), 2), (YearWindow(1990, 1995), 0)],
+        ids=["between-citation-years", "before-every-citation-year"],
+    )
+    def test_window_without_citation_years_settles_at_zero(self, cite, rows):
+        corpus = self.old_and_light(1, 90)
+        pub = YearWindow.through(2011)
+        with self.shrunk(4) as tally:
+            value = windowed_h(corpus, pub, cite, interpolated=True)
+            dense = corpus._dense
+            first, last, lo, hi = dense.slices(None, 2011, cite.start, cite.end)
+            assert lo == hi == rows
+            row, bound = dense._top_counts(first, last, lo, hi)
+        assert (row.tolist(), bound) == ([0, 0, 0, 0], 0)
+        assert tally == Counter(settled=1)
+        assert value == IndexValue(0, Fraction(0))
+        self.expect(corpus, Oracle(corpus), pub, cite, value, True)
 
     def test_bound_zero_settles_every_wide_cell(self):
         # Three cited papers among twenty: every paper outside the block has 0.
@@ -481,7 +563,7 @@ class TestTopBlock:
             + [PaperRecord(paper_id, 2001, citations) for paper_id, citations in cited.items()]
         )
         with self.shrunk(4) as tally:
-            assert corpus._dense._top[2] == 0
+            assert corpus._dense._top[2:] == ([0] * 6, [0] * 6)
             self.check(corpus, np.random.default_rng(7))
             # Six uncited papers each, so the block part is empty; the first
             # window ends just before the block's first column.
@@ -500,7 +582,7 @@ class TestTopBlock:
         with self.shrunk(2) as tally:
             window = YearWindow(2000, 2004)
             value = windowed_h(corpus, window, YearWindow.through(2010), interpolated=True)
-            assert corpus._dense._top[2] == 5
+            assert corpus._dense._top[2][-1] == 5
         assert tally == Counter(whole=1)
         assert value == IndexValue(4, Fraction(4))
 
@@ -516,7 +598,7 @@ class TestTopBlock:
         corpus = validate_corpus(papers)
         with self.shrunk(4) as tally:
             self.check(corpus, np.random.default_rng(11))
-            columns, block, bound = corpus._dense._top
+            columns, block, upto, within = corpus._dense._top
         assert block.dtype == np.int64
         assert block[-1].max() == 2 * big
         assert tally["settled"] > 0 and tally["whole"] > 0
