@@ -7,116 +7,18 @@ the author impact factor and the age-discounted contemporary index,
 together with the aging analytics (quantile citation windows, citation
 mass groups and their cumulative/yearly curves) that motivate choosing a
 window length.
+
+Each module's ``__all__`` is the package's public surface: the package
+re-exports exactly those names.
 """
 
-from .aging import (
-    CitationGroup,
-    GroupPartition,
-    QuantileWindows,
-    group_cumulative_curves,
-    group_yearly_counts,
-    partition_by_mass,
-    quantile_windows,
-    rank_papers_by_total,
-    recently_cited_count,
-)
-from .errors import (
-    CitationBeforePublicationError,
-    CorpusError,
-    DuplicateIdError,
-    DuplicateYearRowError,
-    EmptyCorpusError,
-    IngestError,
-    InvalidRangeError,
-    MalformedHeaderError,
-    NegativeCountError,
-    NoPapersInWindowError,
-    ParseError,
-    RefYearBeforePublicationError,
-    SchemaError,
-    UnknownPaperIdError,
-    ZeroCitationsError,
-)
-from .indices import (
-    ALL,
-    AifValue,
-    EvolutionTable,
-    IndexValue,
-    author_impact_factor,
-    contemporary_h,
-    evolution_table,
-    h5_index,
-    h_from_ranked,
-    interpolate_h,
-    rank_citations,
-    timed_h,
-    windowed_h,
-)
-from .ingest import (
-    IngestOptions,
-    export_corpus,
-    export_corpus_csv,
-    export_corpus_json,
-    parse_corpus_csv,
-    parse_corpus_json,
-)
-from .model import (
-    Corpus,
-    PaperRecord,
-    RankedCitations,
-    YearWindow,
-    validate_corpus,
-)
+from . import aging, errors, indices, ingest, model
+from .aging import *
+from .errors import *
+from .indices import *
+from .ingest import *
+from .model import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL",
-    "AifValue",
-    "CitationBeforePublicationError",
-    "CitationGroup",
-    "Corpus",
-    "CorpusError",
-    "DuplicateIdError",
-    "DuplicateYearRowError",
-    "EmptyCorpusError",
-    "EvolutionTable",
-    "GroupPartition",
-    "IndexValue",
-    "IngestError",
-    "IngestOptions",
-    "InvalidRangeError",
-    "MalformedHeaderError",
-    "NegativeCountError",
-    "NoPapersInWindowError",
-    "PaperRecord",
-    "ParseError",
-    "QuantileWindows",
-    "RankedCitations",
-    "RefYearBeforePublicationError",
-    "SchemaError",
-    "UnknownPaperIdError",
-    "YearWindow",
-    "ZeroCitationsError",
-    "author_impact_factor",
-    "contemporary_h",
-    "evolution_table",
-    "export_corpus",
-    "export_corpus_csv",
-    "export_corpus_json",
-    "group_cumulative_curves",
-    "group_yearly_counts",
-    "h5_index",
-    "h_from_ranked",
-    "interpolate_h",
-    "parse_corpus_csv",
-    "parse_corpus_json",
-    "partition_by_mass",
-    "quantile_windows",
-    "rank_citations",
-    "rank_papers_by_total",
-    "recently_cited_count",
-    "timed_h",
-    "validate_corpus",
-    "windowed_h",
-]
+__all__ = sorted(aging.__all__ + errors.__all__ + indices.__all__ + ingest.__all__ + model.__all__)

@@ -25,22 +25,17 @@ from .rational import as_fraction, format_fixed
 DEFAULT_T_LIST = "2,3,5,10,all"
 
 
-def load_corpus(paths: list[str], lenient: bool = False) -> Corpus:
+def _load(parser, args) -> Corpus:
     """Read one JSON corpus file or a (papers.csv, citations.csv) pair."""
-    opts = IngestOptions(lenient_clamp=lenient)
+    paths = args.corpus
+    if len(paths) not in (1, 2):
+        parser.error("expected 1 JSON corpus path or 2 CSV paths (papers, citations)")
+    opts = IngestOptions(lenient_clamp=args.lenient)
     if len(paths) == 1:
         with open(paths[0], "rb") as fh:
             return parse_corpus_json(fh, opts)
-    if len(paths) == 2:
-        with open(paths[0], "rb") as papers_fh, open(paths[1], "rb") as citations_fh:
-            return parse_corpus_csv(papers_fh, citations_fh, opts)
-    raise ValueError("expected 1 JSON path or 2 CSV paths")
-
-
-def _load(parser, args) -> Corpus:
-    if len(args.corpus) not in (1, 2):
-        parser.error("expected 1 JSON corpus path or 2 CSV paths (papers, citations)")
-    return load_corpus(args.corpus, args.lenient)
+    with open(paths[0], "rb") as papers_fh, open(paths[1], "rb") as citations_fh:
+        return parse_corpus_csv(papers_fh, citations_fh, opts)
 
 
 def _write(text: str, output: str | None) -> None:

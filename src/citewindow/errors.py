@@ -6,6 +6,24 @@ additionally carry a locator (line number or JSON path) so diagnostics
 can point at the offending spot in the file.
 """
 
+__all__ = [
+    "CorpusError",
+    "DuplicateIdError",
+    "CitationBeforePublicationError",
+    "NegativeCountError",
+    "RefYearBeforePublicationError",
+    "InvalidRangeError",
+    "NoPapersInWindowError",
+    "ZeroCitationsError",
+    "EmptyCorpusError",
+    "IngestError",
+    "MalformedHeaderError",
+    "UnknownPaperIdError",
+    "DuplicateYearRowError",
+    "ParseError",
+    "SchemaError",
+]
+
 
 class CorpusError(Exception):
     """Base class for all citation-data errors raised by this package."""

@@ -482,10 +482,10 @@ def _corpus_from_rows(
 
     published = pub_year[row_paper]
     if lenient:
+        # A clamped year becomes the paper's publication year, which no other
+        # row of that paper precedes, so the clamped keys stay sorted in ``order``.
         years = np.maximum(years, published)
-        keys = rank[row_paper] << 14 | years
-        order = np.argsort(keys, kind="stable")
-        starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+        starts = np.flatnonzero(np.diff((rank[row_paper] << 14 | years)[order], prepend=-1))
         counts = np.add.reduceat(counts[order], starts) if starts.size else counts[order]
         order = order[starts]
     else:

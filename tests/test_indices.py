@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from citewindow import (
     ALL,
+    AifValue,
     IndexValue,
     InvalidRangeError,
     NoPapersInWindowError,
@@ -635,6 +636,8 @@ class TestAuthorImpactFactor:
     def test_no_papers_in_window(self, toy_corpus):
         with pytest.raises(NoPapersInWindowError):
             author_impact_factor(toy_corpus, 1999)
+        with pytest.raises(ValueError):
+            AifValue(1, 0)
 
     def test_focal_year_paper_not_counted(self, toy_corpus):
         # Window is [y - delta_t, y - 1]: P3 (2004) is outside at y=2004.
@@ -708,6 +711,8 @@ class TestIndexValue:
             IndexValue(2, Fraction(7, 2))
         with pytest.raises(ValueError):
             IndexValue(3, Fraction(5, 2))
+        with pytest.raises(ValueError):
+            IndexValue(2, 3.5)
 
     def test_negative_h_rejected(self):
         with pytest.raises(ValueError):
@@ -715,3 +720,8 @@ class TestIndexValue:
 
     def test_integer_boundary_allowed(self):
         assert IndexValue(2, Fraction(2)).h_interp == 2
+
+    def test_interpolation_becomes_a_fraction(self):
+        value = IndexValue(2, 2.5).h_interp
+        assert value == Fraction(5, 2)
+        assert isinstance(value, Fraction)

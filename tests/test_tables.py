@@ -1,13 +1,14 @@
-"""Rendering: fixed-point decimals and the JSON table writer."""
+"""Rendering: fixed-point decimals, the table checks and the JSON table writer."""
 
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citewindow.rational import _fixed, format_fixed
-from citewindow.tables import OutputTable, json_document
+from citewindow.tables import OutputTable, groups_output, json_document
 
 
 def reference_fixed(value: Fraction, places: int) -> str:
@@ -98,3 +99,13 @@ class TestJsonWriter:
     def test_document_matches_json_dumps(self, named):
         expected = reference_json({name: table.to_json_obj() for name, table in named})
         assert json_document(named) == expected
+
+
+class TestTableChecks:
+    def test_row_arity_must_match_header(self):
+        with pytest.raises(ValueError, match="arity"):
+            OutputTable(("a", "b"), (("1", "2"), ("3",)))
+
+    def test_unknown_groups_mode_rejected(self, toy_corpus):
+        with pytest.raises(ValueError, match="mode"):
+            groups_output(toy_corpus, mode="monthly")
