@@ -21,13 +21,15 @@ and four-digit year keys sort as their numbers do.
 
 Both parsers work a column at a time.  A file becomes int64 columns of
 paper index, year and count, which are checked in bulk, ranges included.
-Only the first failing row is read again on its own, and JSON papers are
-checked one at a time only once a column check of them has failed.  So
-each parser reports exactly what a row-by-row reader would: the first
-break in the files (papers before citations), with a repeated (paper,
-year) row winning over a parse error below it.  Repeated rows and
-citations before publication are left to the store build the parsers
-share with :func:`citewindow.model.validate_corpus`.
+This column path only accepts or rejects.  On a reject the parser reads
+its input again row by row (``_located_csv``, ``_located_json``), and
+that reader alone reports the first failure in file order, papers before
+citations; only a repeated id of a JSON paper wins over a repeated year
+of an earlier one.  So valid input is read once, and a column check
+stricter than its reader costs speed, not a result.  Citations before
+publication are left to the store build the parsers share with
+:func:`citewindow.model.validate_corpus`; so are a CSV pair's repeated
+rows, on which that build rejects.
 
 CSV files are read from their bytes.  A file without '"' and without a
 CR outside CRLF has no quoting, so it is cut at line ends into blocks of
@@ -53,8 +55,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from functools import partial
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -67,7 +68,7 @@ from .errors import (
     SchemaError,
     UnknownPaperIdError,
 )
-from .model import _MAX_COUNT, _YEAR_MAX, _YEAR_MIN, Corpus, _corpus_from_rows, _first_duplicate
+from .model import _MAX_COUNT, _YEAR_MAX, _YEAR_MIN, Corpus, _corpus_from_rows, _Rejected
 
 __all__ = [
     "IngestOptions",
@@ -80,6 +81,8 @@ __all__ = [
 
 PAPERS_HEADER = ("paper_id", "pub_year", "title")
 CITATIONS_HEADER = ("paper_id", "year", "count")
+# The headers a papers file may have: the title column may be omitted.
+_PAPERS_HEADERS = (PAPERS_HEADER, PAPERS_HEADER[:2])
 
 # Block sizes of the CSV readers (see the module docstring); _BLOCK_CHARS
 # counts bytes.  Splitting a whole file at once nearly tripled the traced
@@ -120,24 +123,25 @@ def _cell_ints(cells, known: dict) -> np.ndarray:
 
     Years and counts repeat, so each distinct text is read once.  A text
     that is not 1 to 10 ASCII digits reads -1, which fails every range the
-    parsers check; the error path reads it again.
+    parsers check.
     """
     for text in set(cells).difference(known):
         known[text] = int(text) if len(text) <= 10 and text.isascii() and text.isdigit() else -1
     return np.fromiter(map(known.__getitem__, cells), np.int64, len(cells))
 
 
-def _cell_error(what: str, text: str, lo: int, hi: int, locator: str, error=ParseError):
-    """The located error of a cell that is no integer in lo..hi, or None.
+def _cell_int(what: str, text: str, lo: int, hi: int, locator: str, error=ParseError) -> int:
+    """The value of an integer cell in lo..hi; any other cell raises its located error.
 
     An integer is an optional '-', then ASCII digits only: ``int`` alone
     would also take surrounding spaces, underscores and non-ASCII digits.
     """
     digits = text[1:] if text[:1] == "-" else text
     if not (digits.isascii() and digits.isdigit()):
-        return error(f"{what} must be an integer, got {text!r}", locator)
+        raise error(f"{what} must be an integer, got {text!r}", locator)
     if len(digits) > 10 or not lo <= int(text) <= hi:
-        return error(f"{what} must lie in {lo}..{hi}, got {text!r}", locator)
+        raise error(f"{what} must lie in {lo}..{hi}, got {text!r}", locator)
+    return int(text)
 
 
 # Place values of a right-aligned window of up to 10 digits.
@@ -195,19 +199,18 @@ def _csv_blocks(data: bytes | str, what: str, headers: tuple, ints=()):
     """The data rows of a CSV file with one of ``headers``, as blocks of columns.
 
     ``data`` is the file's bytes, which must be UTF-8, or its text.
-    Yields per block a tuple (numbers, (texts, lengths), columns, row):
+    Yields per block a pair ((texts, lengths), columns):
 
-    - ``numbers``: the line numbers of its non-blank rows;
     - field 0 as runs: the block's rows are ``lengths[i]`` copies of
       ``texts[i]`` in turn;
     - ``columns``: the other fields, those at the positions in ``ints``
       as int64 values (-1 for a cell that is not 1 to 10 ASCII digits),
-      the others as lists of texts;
-    - ``row(k)``: the texts of row k.
+      the others as lists of texts.
 
-    A bad header, the first row with another field count, or malformed
-    CSV raises a located error once the rows before it have been yielded.
-    The rows are those ``csv.reader`` gives.  A text without '"' and
+    A bad header or a row with another field count raises
+    :class:`~citewindow.model._Rejected`, and malformed CSV raises
+    ``csv.Error``, maybe after some blocks.  The rows are those
+    ``csv.reader`` gives, blank ones skipped.  A text without '"' and
     without a CR outside CRLF has no quoting: its blocks of about
     ``_BLOCK_CHARS`` bytes are read from the bytes when every line has the
     header's field count, and by ``csv.reader`` when not.  Other text
@@ -224,22 +227,21 @@ def _csv_blocks(data: bytes | str, what: str, headers: tuple, ints=()):
     end = 0 if quoted else data.find(b"\n") + 1 or len(data)
     reader = csv.reader(io.StringIO(text if quoted else data[:end].decode()))
     del text
-    rows, _, error = _read(reader, 1, what)
-    if error or not rows or tuple(rows[0]) not in headers:
-        raise error or MalformedHeaderError(f"{what} header must be {','.join(headers[0])}", f"{what} line 1")
-    width, line, limit, known = len(rows[0]), 1, csv.field_size_limit(), {}
+    header = next(reader, None)
+    if header is None or tuple(header) not in headers:
+        raise _Rejected
+    width, limit, known = len(header), csv.field_size_limit(), {}
     # Which separators of a line of ``width`` fields are its LF.
     line_ends = np.arange(width) == width - 1
     while quoted or end < len(data):
         if quoted:
-            rows, numbers, error = _read(reader, _BLOCK_ROWS, what)
-            if not rows and not error:
+            rows = list(islice(reader, _BLOCK_ROWS))
+            if not rows:
                 return
         else:
-            start, end, first = end, data.find(b"\n", end + _BLOCK_CHARS) + 1 or len(data), line
+            start, end = end, data.find(b"\n", end + _BLOCK_CHARS) + 1 or len(data)
             block = data[start:end].replace(b"\r\n", b"\n")
             block += b"" if block.endswith(b"\n") else b"\n"
-            line += block.count(b"\n")
             # Rows align into columns when the separators run as width - 1
             # commas and an LF, line after line, so no line is blank.  LF
             # and ',' are single bytes in UTF-8, found in no other character.
@@ -247,26 +249,20 @@ def _csv_blocks(data: bytes | str, what: str, headers: tuple, ints=()):
             seps = ((codes == 44) | (codes == 10)).nonzero()[0]
             lf = codes[seps] == 10
             if len(block) <= limit and lf.size % width == 0 and (lf.reshape(-1, width) == line_ends).all():
-                yield range(first + 1, line + 1), *_byte_columns(block, codes, seps, width, ints)
+                yield _byte_columns(block, codes, seps, width, ints)
                 continue
-            rows, numbers, error = _read(csv.reader(io.StringIO(block.decode())), None, what, first)
-        # Blank rows are skipped; the first row of another width ends the reading.
-        bad = [0 < len(row) != width for row in rows]
-        k = bad.index(True) if True in bad else len(rows)
-        if k < len(rows):
-            error = ParseError(f"expected {width} fields, got {len(rows[k])}", f"{what} line {numbers[k]}")
-        kept = list(filter(None, rows[:k]))
-        if kept:
-            columns = [_cell_ints(cells, known) if j in ints else cells for j, cells in enumerate(zip(*kept))]
-            runs = (columns.pop(0), np.ones(len(kept), np.int64))
-            yield list(compress(numbers[:k], rows[:k])), runs, columns, kept.__getitem__
-        if error:
-            raise error
+            rows = list(csv.reader(io.StringIO(block.decode())))
+        rows = list(filter(None, rows))
+        if set(map(len, rows)) - {width}:
+            raise _Rejected
+        if rows:
+            columns = [_cell_ints(cells, known) if j in ints else cells for j, cells in enumerate(zip(*rows))]
+            yield (columns.pop(0), np.ones(len(rows), np.int64)), columns
 
 
 def _byte_columns(block: bytes, codes: np.ndarray, seps: np.ndarray, width: int, ints) -> tuple:
-    """The (texts, lengths), columns and row of a block of aligned rows:
-    see :func:`_csv_blocks`.  ``seps`` are the offsets of its separators."""
+    """The (texts, lengths) and columns of a block of aligned rows: see
+    :func:`_csv_blocks`.  ``seps`` are the offsets of its separators."""
     starts = np.concatenate(([0], seps[:-1] + 1))
     first, lengths = _runs(block, starts[::width], seps[::width])
     texts = _texts(codes, starts[::width][first], seps[::width][first])
@@ -275,26 +271,7 @@ def _byte_columns(block: bytes, codes: np.ndarray, seps: np.ndarray, width: int,
         fields = [np.concatenate([bounds[j::width] for j in ints]) for bounds in (starts, seps)]
         values = dict(zip(ints, _digits(codes, *fields).reshape(len(ints), -1)))
     columns = [values[j] if j in values else _texts(codes, starts[j::width], seps[j::width]) for j in range(1, width)]
-
-    def row(k: int) -> list[str]:
-        return block[starts[k * width] : seps[k * width + width - 1]].decode().split(",")
-
-    return (texts, lengths), columns, row
-
-
-def _read(reader, size: int | None, what: str, line: int = 0):
-    """Up to ``size`` rows of ``reader``, the line number of each, and the
-    located error of a malformed row after them or None.  ``line`` counts
-    the lines before the reader's text."""
-    before, rows, error = line + reader.line_num, [], None
-    try:
-        rows.extend(islice(reader, size))  # extend keeps the rows read before an error
-    except csv.Error as exc:
-        error = ParseError(f"malformed CSV: {exc}", f"{what} line {line + reader.line_num}")
-    if line + reader.line_num - before == len(rows):
-        return rows, range(before + 1, before + 1 + len(rows)), error
-    # A quoted field spans a line per LF it holds.
-    return rows, list(accumulate((1 + "".join(row).count("\n") for row in rows), initial=before))[1:], error
+    return (texts, lengths), columns
 
 
 def _csv_text(header, rows) -> str:
@@ -314,14 +291,6 @@ def _csv_text(header, rows) -> str:
     return '"'.join(parts)
 
 
-def _repeat_first(error, row_paper: np.ndarray, years: np.ndarray, duplicate_error):
-    """``error``, unless the rows read before it repeat a (paper, year): repeats
-    are found once all rows are read, so a parse error below one yields to it."""
-    keys = row_paper << 14 | years
-    row = _first_duplicate(keys, np.argsort(keys, kind="stable"))
-    return error if row is None else duplicate_error(row)
-
-
 def parse_corpus_csv(papers_file, citations_file, opts: IngestOptions | None = None) -> Corpus:
     """Parse the papers/citations CSV pair into a validated corpus.
 
@@ -331,101 +300,127 @@ def parse_corpus_csv(papers_file, citations_file, opts: IngestOptions | None = N
     1000..9999 and counts in 1..2**31 - 1, written as plain ASCII digits.
     """
     opts = opts or IngestOptions()
+    papers, citations = _content(papers_file), _content(citations_file)
+    try:
+        return _corpus_from_rows(*_csv_columns(papers, citations), opts.lenient_clamp)
+    except (_Rejected, csv.Error):
+        return _located_csv(papers, citations, opts)
+
+
+def _csv_columns(papers: bytes | str, citations: bytes | str) -> tuple:
+    """The store build's arguments from a CSV pair, its lenient flag aside.
+    Any row that breaks a rule raises :class:`~citewindow.model._Rejected`
+    or ``csv.Error``."""
     index: dict[str, int] = {}
     pub_years, titles = [np.empty(0, np.int64)], []
-    papers = _csv_blocks(_content(papers_file), "papers", (PAPERS_HEADER, PAPERS_HEADER[:2]), (1,))
-    for numbers, (texts, lengths), (pub_year, *title_cells), row in papers:
-        bad_year = ((pub_year < _YEAR_MIN) | (pub_year > _YEAR_MAX)).tolist()
+    for (texts, lengths), (pub_year, *title_cells) in _csv_blocks(papers, "papers", _PAPERS_HEADERS, (1,)):
         before = len(index)
         index.update(zip(texts, range(before, before + len(texts))))
-        if len(index) < before + len(numbers) or "" in index or True in bad_year:
-            # The first row with an empty id, an id seen before (a run of two
-            # rows repeats one) or a bad year.
-            ids = np.repeat(np.array(texts, dtype=object), lengths).tolist()
-            seen = set(islice(index, before))
-            k = next(k for k, pid in enumerate(ids) if not pid or pid in seen or bad_year[k] or seen.add(pid))
-            locator = f"papers line {numbers[k]}"
-            if not ids[k]:
-                raise ParseError("paper_id must be non-empty", locator)
-            if ids[k] in seen:
-                raise DuplicateIdError(ids[k], locator)
-            raise _cell_error("pub_year", row(k)[1], _YEAR_MIN, _YEAR_MAX, locator)
+        # A run of two rows repeats an id, and so does a text seen before.
+        if len(index) < before + len(pub_year) or "" in index or not _in_range(pub_year, _YEAR_MIN, _YEAR_MAX):
+            raise _Rejected
         pub_years.append(pub_year)
         titles += [title or None for title in title_cells[0]] if title_cells else [None] * len(texts)
 
-    blocks = partial(_csv_blocks, _content(citations_file), "citations", (CITATIONS_HEADER,), (1, 2))
+    parts = [[np.empty(0, np.int64)] * 3]
+    for (texts, lengths), (year, count) in _csv_blocks(citations, "citations", (CITATIONS_HEADER,), (1, 2)):
+        paper = np.repeat(np.fromiter(map(index.get, texts, repeat(-1)), np.int64, len(texts)), lengths)
+        if paper.min() < 0 or not (_in_range(year, _YEAR_MIN, _YEAR_MAX) and _in_range(count, 1, _MAX_COUNT)):
+            raise _Rejected
+        parts.append((paper, year, count))
+    return index, np.concatenate(pub_years), titles, *map(np.concatenate, zip(*parts))
 
-    def duplicate_error(row: int) -> DuplicateYearRowError:
-        line = next(islice((line for numbers, *_ in blocks() for line in numbers), row, None))
-        paper_id = next(islice(index, int(row_paper[row]), None))
-        return DuplicateYearRowError(paper_id, int(years[row]), f"citations line {line}")
 
-    parts, error = [], None
+def _in_range(values: np.ndarray, lo: int, hi: int) -> bool:
+    return lo <= values.min(initial=lo) and values.max(initial=hi) <= hi
+
+
+def _located_rows(data: bytes | str, what: str, headers: tuple):
+    """(locator, row) of every non-blank data row of a CSV file with one of
+    ``headers``, the locator naming the row's last line.  A bad header, a
+    row with another field count or malformed CSV raises its located error."""
+    reader = csv.reader(io.StringIO(_decode(data, what)))
     try:
-        for numbers, (texts, lengths), (year, count_), row in blocks():
-            paper = np.repeat(np.fromiter(map(index.get, texts, repeat(-1)), np.int64, len(texts)), lengths)
-            bad = (paper < 0) | (year < _YEAR_MIN) | (year > _YEAR_MAX) | (count_ < 1) | (count_ > _MAX_COUNT)
-            k = int(bad.argmax()) if bad.any() else len(bad)
-            parts.append((paper[:k], year[:k], count_[:k]))
-            if k < len(bad):
-                locator = f"citations line {numbers[k]}"
-                paper_id, year_cell, count_cell = row(k)
-                if paper[k] < 0:
-                    raise UnknownPaperIdError(paper_id, locator)
-                year_error = _cell_error("year", year_cell, _YEAR_MIN, _YEAR_MAX, locator)
-                raise year_error or _cell_error("count", count_cell, 1, _MAX_COUNT, locator)
-    except IngestError as exc:
-        error = exc
-    row_paper, years, counts = (np.concatenate(column) for column in zip(*parts, [np.empty(0, np.int64)] * 3))
-    if error:
-        raise _repeat_first(error, row_paper, years, duplicate_error)
-    return _corpus_from_rows(
-        index, np.concatenate(pub_years), titles, row_paper, years, counts, opts.lenient_clamp, duplicate_error
-    )
+        header = next(reader, None)
+        if header is None or tuple(header) not in headers:
+            raise MalformedHeaderError(f"{what} header must be {','.join(headers[0])}", f"{what} line 1")
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", f"{what} line {reader.line_num}")
+            yield f"{what} line {reader.line_num}", row
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", f"{what} line {reader.line_num}") from None
+
+
+def _located_csv(papers: bytes | str, citations: bytes | str, opts: IngestOptions) -> Corpus:
+    """:func:`parse_corpus_csv` row by row: the first failure in the files
+    raises its located error."""
+    index, pub_years, titles = {}, [], []
+    for locator, row in _located_rows(papers, "papers", _PAPERS_HEADERS):
+        if not row[0]:
+            raise ParseError("paper_id must be non-empty", locator)
+        if row[0] in index:
+            raise DuplicateIdError(row[0], locator)
+        pub_years.append(_cell_int("pub_year", row[1], _YEAR_MIN, _YEAR_MAX, locator))
+        titles.append(row[2] or None if len(row) == 3 else None)
+        index[row[0]] = len(index)
+
+    seen, row_paper, years, counts = set(), [], [], []
+    for locator, row in _located_rows(citations, "citations", (CITATIONS_HEADER,)):
+        if row[0] not in index:
+            raise UnknownPaperIdError(row[0], locator)
+        key = index[row[0]], _cell_int("year", row[1], _YEAR_MIN, _YEAR_MAX, locator)
+        counts.append(_cell_int("count", row[2], 1, _MAX_COUNT, locator))
+        if key in seen:
+            raise DuplicateYearRowError(row[0], key[1], locator)
+        seen.add(key)
+        row_paper.append(key[0])
+        years.append(key[1])
+    return _corpus_from_rows(index, pub_years, titles, row_paper, years, counts, opts.lenient_clamp)
 
 
 _JSON_KEYS = frozenset(("id", "pub_year", "title", "citations"))
 
 
-def _paper_error(obj, i: int, earlier_ids) -> Exception | None:
-    """The first failure of JSON paper ``i`` on its own, its citation entries
-    aside, checked in document order."""
-    if not isinstance(obj, dict):
-        return SchemaError("paper entry must be an object", f"$[{i}]")
-    if not obj.keys() <= _JSON_KEYS:
-        return SchemaError(f"unknown keys {sorted(obj.keys() - _JSON_KEYS)}", f"$[{i}]")
-    for key in ("id", "pub_year", "citations"):
-        if key not in obj:
-            return SchemaError(f"missing required key {key!r}", f"$[{i}]")
-    paper_id = obj["id"]
-    if not isinstance(paper_id, str) or not paper_id:
-        return SchemaError("id must be a non-empty string", f"$[{i}].id")
-    if paper_id in earlier_ids:
-        return DuplicateIdError(paper_id, f"$[{i}].id")
-    pub_year = obj["pub_year"]
-    if type(pub_year) is not int:
-        return SchemaError("pub_year must be an integer", f"$[{i}].pub_year")
-    if not _YEAR_MIN <= pub_year <= _YEAR_MAX:
-        return SchemaError(f"pub_year must lie in {_YEAR_MIN}..{_YEAR_MAX}", f"$[{i}].pub_year")
-    title = obj.get("title")
-    if title is not None and not isinstance(title, str):
-        return SchemaError("title must be a string or null", f"$[{i}].title")
-    if not isinstance(obj["citations"], dict):
-        return SchemaError("citations must be an object", f"$[{i}].citations")
+def parse_corpus_json(stream, opts: IngestOptions | None = None) -> Corpus:
+    """Parse the JSON array format into a validated corpus.
+
+    Schema violations raise :class:`SchemaError` with a JSON-path
+    locator, the first one in the document; zero citation counts are
+    violations (absent means zero).  Years must lie in 1000..9999, with
+    year keys written as plain ASCII digits, and counts in 1..2**31 - 1.
+    """
+    opts = opts or IngestOptions()
+    data = _json_document(stream)
+    columns = _json_columns(data)
+    if columns is None:
+        return _located_json(data, opts)
+    # The checks leave no repeated row, so the store build cannot reject.
+    del data  # the store build reuses its memory
+    return _corpus_from_rows(*columns, opts.lenient_clamp)
 
 
-def _citation_error(paper: int, key: str, value) -> SchemaError:
-    """The failure of the citation entry ``key: value`` of JSON paper
-    ``paper``, which breaks a rule: its year key first, then its count."""
-    locator = f"$[{paper}].citations.{key}"
-    year_error = _cell_error("citation year keys", key, _YEAR_MIN, _YEAR_MAX, locator, SchemaError)
-    return year_error or SchemaError(_count_error(value), locator)
+def _json_document(stream) -> list:
+    """The array of papers of a JSON corpus; anything else raises its located error."""
+    text = _decode(_content(stream), "corpus")
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", f"line {exc.lineno}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", "corpus stream") from None
+    except ValueError:  # an integer literal longer than sys.get_int_max_str_digits()
+        raise ParseError("invalid JSON: a number has too many digits", "corpus stream") from None
+    if not isinstance(data, list):
+        raise SchemaError("top level must be an array of paper objects", "$")
+    return data
 
 
-def _paper_columns(data):
-    """(id -> position, pub_year, title, citations) columns of the JSON
-    papers ``data``, or None when some paper fails a check of its own or
-    repeats an id.  Each check covers a whole column at once."""
+def _json_columns(data: list) -> tuple | None:
+    """The store build's arguments from the JSON papers ``data``, its
+    lenient flag aside, or None when some paper or citation entry breaks a
+    rule or a year key is not exactly four characters.  Each check covers a
+    whole column at once."""
     if set(map(type, data)) - {dict} or set().union(*data) - _JSON_KEYS:
         return None
     ids, pub_years, titles, citations = (
@@ -443,85 +438,86 @@ def _paper_columns(data):
         or set(map(type, citations)) - {dict}
     ):
         return None
-    return index, pub_years, titles, citations
-
-
-def parse_corpus_json(stream, opts: IngestOptions | None = None) -> Corpus:
-    """Parse the JSON array format into a validated corpus.
-
-    Schema violations raise :class:`SchemaError` with a JSON-path
-    locator, the first one in the document; zero citation counts are
-    violations (absent means zero).  Years must lie in 1000..9999, with
-    year keys written as plain ASCII digits, and counts in 1..2**31 - 1.
-    """
-    opts = opts or IngestOptions()
-    text = _decode(_content(stream), "corpus")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", f"line {exc.lineno}") from None
-    except RecursionError:
-        raise ParseError("invalid JSON: nested too deeply", "corpus stream") from None
-    except ValueError:  # an integer literal longer than sys.get_int_max_str_digits()
-        raise ParseError("invalid JSON: a number has too many digits", "corpus stream") from None
-    del text
-    if not isinstance(data, list):
-        raise SchemaError("top level must be an array of paper objects", "$")
-
-    # The papers before ``end`` pass the checks of each paper on its own.
-    # Only once a column check has failed are papers checked one at a
-    # time, to find the first that fails; its error yields to a bad
-    # citation entry of an earlier paper.
-    columns, error = _paper_columns(data), None
-    if columns is None:
-        index: dict[str, int] = {}
-        for end, obj in enumerate(data):
-            error = _paper_error(obj, end, index)
-            if error:
-                break
-            index[obj["id"]] = end
-        citations = [obj["citations"] for obj in data[:end]]
-    else:
-        index, pub_years, titles, citations = columns
-        end = len(data)
-    row_paper = np.repeat(np.arange(end), np.fromiter(map(len, citations), np.int64, end))
     keys = list(chain.from_iterable(citations))
     values = list(chain.from_iterable(map(dict.values, citations)))
-    years = _cell_ints(keys, {})
-    bad = (years < _YEAR_MIN) | (years > _YEAR_MAX)
+    known: dict[str, int] = {}
+    years = _cell_ints(keys, known)
+    # A longer key ("02001") could repeat a year of its paper.
+    if set(map(len, known)) - {4} or set(map(type, values)) - {int} or not _in_range(years, _YEAR_MIN, _YEAR_MAX):
+        return None
     try:
-        counts = np.fromiter(values, np.int64, len(values)) if set(map(type, values)) <= {int} else None
+        counts = np.fromiter(values, np.int64, len(values))
     except OverflowError:  # an int beyond int64
-        counts = None
-    if counts is None or counts.min(initial=1) < 1 or counts.max(initial=1) > _MAX_COUNT:
-        # Some count is no int (bool included) or out of range: find which.
-        bad |= np.array([type(value) is not int or not 0 < value <= _MAX_COUNT for value in values], dtype=bool)
-    rows = int(np.argmax(bad)) if bad.any() else len(keys)
-
-    def duplicate_error(row: int) -> SchemaError:
-        return SchemaError("duplicate citation year", f"$[{row_paper[row]}].citations.{keys[row]}")
-
-    if rows < len(keys):
-        error = _citation_error(int(row_paper[rows]), keys[rows], values[rows])
-    if isinstance(error, IngestError):
-        error = _repeat_first(error, row_paper[:rows], years[:rows], duplicate_error)
-    if error:
-        raise error
-    pub_year = np.array(pub_years, dtype=np.int64)
-    del data, columns, pub_years, citations, values  # the store build reuses their memory
-    return _corpus_from_rows(
-        index, pub_year, titles, row_paper, years, counts, opts.lenient_clamp, duplicate_error
-    )
+        return None
+    if not _in_range(counts, 1, _MAX_COUNT):
+        return None
+    row_paper = np.repeat(np.arange(len(data)), np.fromiter(map(len, citations), np.int64, len(data)))
+    return index, np.array(pub_years, dtype=np.int64), titles, row_paper, years, counts
 
 
-def _count_error(value) -> str:
-    if type(value) is not int:
-        return "citation counts must be integers"
-    if value == 0:
-        return "zero counts must be omitted"
-    if value < 0:
-        return "citation counts must be positive"
-    return f"citation counts must be <= {_MAX_COUNT}"
+def _located_json(data: list, opts: IngestOptions) -> Corpus:
+    """:func:`parse_corpus_json` paper by paper: the first failure in the
+    document raises its located error."""
+    index, pub_years, titles, row_paper, years, counts = {}, [], [], [], [], []
+    repeated = None  # the locator of the first repeated citation year
+    try:
+        for i, obj in enumerate(data):
+            _located_paper(obj, f"$[{i}]", index)
+            seen = set()
+            for key, value in obj["citations"].items():
+                locator = f"$[{i}].citations.{key}"
+                year = _cell_int("citation year keys", key, _YEAR_MIN, _YEAR_MAX, locator, SchemaError)
+                if type(value) is not int:
+                    raise SchemaError("citation counts must be integers", locator)
+                if value == 0:
+                    raise SchemaError("zero counts must be omitted", locator)
+                if value < 0:
+                    raise SchemaError("citation counts must be positive", locator)
+                if value > _MAX_COUNT:
+                    raise SchemaError(f"citation counts must be <= {_MAX_COUNT}", locator)
+                if year in seen and repeated is None:
+                    repeated = locator
+                seen.add(year)
+                row_paper.append(i)
+                years.append(year)
+                counts.append(value)
+            index[obj["id"]] = i
+            pub_years.append(obj["pub_year"])
+            titles.append(obj.get("title"))
+    except IngestError:
+        if repeated is None:
+            raise
+    # A repeated year wins over every later failure but a repeated id,
+    # which is no IngestError.
+    if repeated is not None:
+        raise SchemaError("duplicate citation year", repeated)
+    return _corpus_from_rows(index, pub_years, titles, row_paper, years, counts, opts.lenient_clamp)
+
+
+def _located_paper(obj, path: str, index: dict) -> None:
+    """Raise the located error of JSON paper ``obj`` at ``path`` when it
+    breaks a rule of its own, its citation entries aside, or repeats an id
+    of ``index``."""
+    if not isinstance(obj, dict):
+        raise SchemaError("paper entry must be an object", path)
+    if not obj.keys() <= _JSON_KEYS:
+        raise SchemaError(f"unknown keys {sorted(obj.keys() - _JSON_KEYS)}", path)
+    for key in ("id", "pub_year", "citations"):
+        if key not in obj:
+            raise SchemaError(f"missing required key {key!r}", path)
+    paper_id, pub_year, title = obj["id"], obj["pub_year"], obj.get("title")
+    if not isinstance(paper_id, str) or not paper_id:
+        raise SchemaError("id must be a non-empty string", f"{path}.id")
+    if paper_id in index:
+        raise DuplicateIdError(paper_id, f"{path}.id")
+    if type(pub_year) is not int:
+        raise SchemaError("pub_year must be an integer", f"{path}.pub_year")
+    if not _YEAR_MIN <= pub_year <= _YEAR_MAX:
+        raise SchemaError(f"pub_year must lie in {_YEAR_MIN}..{_YEAR_MAX}", f"{path}.pub_year")
+    if title is not None and not isinstance(title, str):
+        raise SchemaError("title must be a string or null", f"{path}.title")
+    if not isinstance(obj["citations"], dict):
+        raise SchemaError("citations must be an object", f"{path}.citations")
 
 
 def export_corpus_csv(corpus: Corpus) -> tuple[bytes, bytes]:

@@ -436,19 +436,12 @@ class Corpus:
     _dense = cached_property(_DenseCounts)
 
 
-def _first_duplicate(keys: np.ndarray, order: np.ndarray) -> int | None:
-    """Smallest row index whose key an earlier row already has.
-
-    ``order`` is the stable argsort of ``keys``, so equal keys appear in
-    row order and every later one of a run is a repeat.
-    """
-    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
-    return int(repeats.min()) if repeats.size else None
+class _Rejected(Exception):
+    """Raised where a parser's column path meets a row that breaks a rule;
+    the parser then reads its input again row by row to locate it."""
 
 
-def _corpus_from_rows(
-    index, pub_year, titles, row_paper, years, counts, lenient=False, duplicate_error=None
-) -> Corpus:
+def _corpus_from_rows(index, pub_year, titles, row_paper, years, counts, lenient=False) -> Corpus:
     """Store the columns of parsed or given papers as a :class:`Corpus`.
 
     ``index`` maps each paper id to its position in input (file) order, in
@@ -457,8 +450,9 @@ def _corpus_from_rows(
     year and count is already in range: :func:`validate_corpus` checks
     records and the parsers check files.  This build checks only two
     rules, which the parsers leave to it.  A repeated (paper, year) row
-    raises ``duplicate_error(row)`` for the first repeat in row order.  A
-    citation before publication raises
+    raises :class:`_Rejected`, and the CSV parser then reads its files
+    again row by row to locate the first repeat.  A citation before
+    publication raises
     :class:`CitationBeforePublicationError` for the first such paper in
     input order, at its earliest early year; with ``lenient`` those
     citations move to the publication year instead and merge with the rows
@@ -475,10 +469,9 @@ def _corpus_from_rows(
     # Years lie in 1000..9999, below 2**14, so rank and year share one key.
     keys = rank[row_paper] << 14 | years
     order = np.argsort(keys, kind="stable")
-    if duplicate_error is not None:
-        row = _first_duplicate(keys, order)
-        if row is not None:
-            raise duplicate_error(row)
+    keys = keys[order]
+    if (keys[1:] == keys[:-1]).any():
+        raise _Rejected
 
     published = pub_year[row_paper]
     if lenient:

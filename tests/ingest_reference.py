@@ -1,9 +1,12 @@
-"""Row-by-row reference parsers: the per-row loops the column parsers replaced.
+"""Row-by-row reference parsers, kept apart from the library's code.
 
 They read the files one row or paper at a time and stop at the first
-failure, so they define which error, message and locator the column
-parsers in ``citewindow.ingest`` must report.  Only the final store build
-(``model._corpus_from_rows``) is shared with the library.
+failure, so they define which error, message and locator the parsers in
+``citewindow.ingest`` must report.  The library's row readers
+(``_located_csv``, ``_located_json``) restate these loops; its column
+path reports nothing itself, so it must never accept what they reject.
+Only the final store build (``model._corpus_from_rows``) is shared with
+the library.
 """
 
 import csv

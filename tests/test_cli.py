@@ -45,11 +45,14 @@ def run(capsys, *argv):
 
 
 class TestValidate:
-    def test_summary_json_input(self, capsys, toy_json):
+    def test_summary_json_input(self, capsys, tmp_path, toy_json):
         code, out, err = run(capsys, "validate", toy_json)
         assert code == 0
         assert out == "3 papers, 2000-2005, 11 citations\n"
         assert err == ""
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]")
+        assert run(capsys, "validate", str(empty)) == (0, "0 papers, 0 citations\n", "")
 
     def test_summary_csv_input(self, capsys, toy_csv):
         code, out, _ = run(capsys, "validate", *toy_csv)

@@ -33,6 +33,7 @@ from citewindow import (
     windowed_h,
 )
 from citewindow import ingest
+from citewindow.model import _Rejected
 from citewindow.tables import OutputTable
 import ingest_reference
 from helpers import random_corpus
@@ -164,6 +165,11 @@ class TestParseJson:
         )
         assert len(corpus) == 1
         assert corpus.by_id["P3"].citations == ((2004, 1), (2005, 1))
+        # A year key of five characters takes the row reader, which reads it as its year.
+        with mock.patch.object(ingest, "_located_json", wraps=ingest._located_json) as located:
+            padded = parse_corpus_json(b'[{"id":"P","pub_year":2000,"citations":{"02001":1}}]')
+        assert located.called
+        assert padded == parse_corpus_json(b'[{"id":"P","pub_year":2000,"citations":{"2001":1}}]')
 
     def test_empty_array(self):
         assert parse_corpus_json(b"[]").is_empty
@@ -463,21 +469,29 @@ def reference_csv_rows(text: str, what: str, headers) -> tuple:
 
 
 def tokenized_rows(text: str, what: str, headers) -> tuple:
-    """The same from :func:`ingest._csv_blocks`, its blocks flattened: each
-    row built from field 0's runs and the other columns, which must also be
-    the texts that ``row(k)`` gives."""
+    """The rows :func:`ingest._csv_blocks` yields, its blocks flattened and
+    each row built from field 0's runs and the other columns, then whether
+    it rejected the text."""
     out = []
     try:
-        for numbers, (texts, lengths), columns, row in ingest._csv_blocks(text.encode(), what, headers):
+        for (texts, lengths), columns in ingest._csv_blocks(text.encode(), what, headers):
             assert len(texts) == len(lengths) and min(lengths) >= 1
             ids = [text for text, length in zip(texts, lengths) for _ in range(length)]
-            assert {len(ids), *map(len, columns)} == {len(numbers)}
-            rows = list(zip(ids, *columns))
-            assert rows == [tuple(row(k)) for k in range(len(numbers))]
-            out += zip(numbers, rows)
-    except IngestError as exc:
-        return out, (type(exc).__name__, str(exc))
-    return out, None
+            assert {len(ids), *map(len, columns)} == {len(ids)}
+            out += zip(ids, *columns)
+    except (_Rejected, csv.Error):
+        return out, True
+    return out, False
+
+
+def reads_as(tokenized, reference) -> bool:
+    """Whether ``tokenized`` (rows, rejected) agrees with ``reference``
+    (entries, error), each entry ending in its row: a reference that ends
+    in an error is rejected after a prefix of its rows, any other is read
+    whole."""
+    (rows, rejected), (entries, error) = tokenized, reference
+    expected = [entry[-1] for entry in entries]
+    return rejected and rows == expected[: len(rows)] if error else not rejected and rows == expected
 
 
 CELLS = st.text(alphabet=st.sampled_from(list("ab1 é\t;")), max_size=3)
@@ -505,7 +519,7 @@ class TestCsvTokenizer:
         text = newline.join([",".join(header), *lines]) + (newline if end else "")
         headers = (tuple(header),)
         with mock.patch.object(ingest, "_BLOCK_CHARS", chars), mock.patch.object(ingest, "_BLOCK_ROWS", rows):
-            assert tokenized_rows(text, "t", headers) == reference_csv_rows(text, "t", headers)
+            assert reads_as(tokenized_rows(text, "t", headers), reference_csv_rows(text, "t", headers))
 
     @given(QUOTE_FREE_LINES, st.integers(1, 24))
     @settings(max_examples=100)
@@ -514,7 +528,7 @@ class TestCsvTokenizer:
         headers = (("a", "b", "c"),)
         # Split at LFs, the CR would stay inside a cell instead of failing.
         with mock.patch.object(ingest, "_BLOCK_CHARS", chars):
-            assert tokenized_rows(text, "t", headers) == reference_csv_rows(text, "t", headers)
+            assert reads_as(tokenized_rows(text, "t", headers), reference_csv_rows(text, "t", headers))
 
     def test_a_short_line_does_not_borrow_the_next_lines_fields(self):
         # Split as one text, these two lines would realign into two valid rows.
@@ -529,7 +543,7 @@ class TestCsvTokenizer:
             text = f"a,b\n1,2\n3,{cell}\n"
             expected = reference_csv_rows(text, "t", (("a", "b"),))
             assert (expected[1] is not None) == fails
-            assert tokenized_rows(text, "t", (("a", "b"),)) == expected
+            assert reads_as(tokenized_rows(text, "t", (("a", "b"),)), expected)
 
     def test_round_trip_through_the_quoted_path(self):
         ids = ("a,b", 'q"x', "c\r\nd")
@@ -624,7 +638,8 @@ def faulty_json_docs(draw):
 
 
 class TestAgainstRowByRowReference:
-    """The column parsers report what the per-row loops they replaced reported."""
+    """The parsers, column path and row readers together, report what the
+    reference loops report."""
 
     @given(faulty_csv_pairs(), st.booleans(), st.integers(1, 40), st.integers(1, 3))
     @settings(max_examples=400)
@@ -649,19 +664,20 @@ def reference_int(cell: str) -> int:
 
 
 def block_rows(data: bytes, headers, ints) -> tuple:
-    """(line, texts, values) of every row :func:`ingest._csv_blocks` yields,
-    with field 0 expanded from its runs and the integer fields as ints,
-    then the error (class name and message) that ends the reading, or None."""
+    """The values of every row :func:`ingest._csv_blocks` yields, with
+    field 0 expanded from its runs and the integer fields as ints, then
+    whether it rejected the data."""
     out = []
     try:
-        for numbers, (texts, lengths), columns, row in ingest._csv_blocks(data, "t", headers, ints):
-            assert len(texts) == len(lengths) and sum(lengths) == len(numbers) and min(lengths) >= 1
+        for (texts, lengths), columns in ingest._csv_blocks(data, "t", headers, ints):
+            assert len(texts) == len(lengths) and min(lengths) >= 1
             ids = [text for text, length in zip(texts, lengths) for _ in range(length)]
             fields = [ids, *([int(v) for v in column] if j + 1 in ints else list(column) for j, column in enumerate(columns))]
-            out += [(line, tuple(row(k)), tuple(field[k] for field in fields)) for k, line in enumerate(numbers)]
-    except IngestError as exc:
-        return out, (type(exc).__name__, str(exc))
-    return out, None
+            assert set(map(len, fields)) == {len(ids)}
+            out += zip(*fields)
+    except (_Rejected, csv.Error):
+        return out, True
+    return out, False
 
 
 def reference_block_rows(text: str, headers, ints) -> tuple:
@@ -704,7 +720,7 @@ class TestByteReader:
         text = newline.join(["id,year,count", *map(",".join, rows)]) + (newline if end else "")
         headers = (("id", "year", "count"),)
         with mock.patch.object(ingest, "_BLOCK_CHARS", chars):
-            assert block_rows(text.encode(), headers, (1, 2)) == reference_block_rows(text, headers, (1, 2))
+            assert reads_as(block_rows(text.encode(), headers, (1, 2)), reference_block_rows(text, headers, (1, 2)))
 
     @given(st.data(), st.integers(2, 5), st.sampled_from(["\n", "\r\n"]), st.booleans(), st.integers(1, 40))
     @settings(max_examples=300)
@@ -716,7 +732,7 @@ class TestByteReader:
         text = newline.join([",".join(f"f{j}" for j in range(width)), *lines]) + (newline if end else "")
         headers = (tuple(f"f{j}" for j in range(width)),)
         with mock.patch.object(ingest, "_BLOCK_CHARS", chars):
-            assert tokenized_rows(text, "t", headers) == reference_csv_rows(text, "t", headers)
+            assert reads_as(tokenized_rows(text, "t", headers), reference_csv_rows(text, "t", headers))
 
     @given(
         st.lists(st.tuples(BYTE_IDS, st.sampled_from(["2000", "2001", "1999"])), max_size=5),
@@ -746,6 +762,23 @@ class TestByteReader:
         for chars in (1 << 16, 300):
             with mock.patch.object(ingest, "_BLOCK_CHARS", chars):
                 assert parse_corpus_csv(papers, shuffled) == corpus
+
+
+class TestColumnPathAcceptsValidInput:
+    """Valid input is read by the column path alone: a row reader taken
+    by mistake only costs speed, which no other test would see."""
+
+    @pytest.mark.parametrize("chars, rows", [(ingest._BLOCK_CHARS, ingest._BLOCK_ROWS), (300, 3)])
+    def test_no_row_reader(self, chars, rows):
+        quoted = validate_corpus([PaperRecord(pid, 2000, {2001: 2}, title="t") for pid in ("a,b", 'q"x', "c\r\nd")])
+        corpora = [random_corpus(np.random.default_rng(seed), max_papers=400, with_titles=True) for seed in (5, 6, 7)]
+        refuse = mock.Mock(side_effect=AssertionError("valid input took a row reader"))
+        with mock.patch.multiple(
+            ingest, _located_csv=refuse, _located_json=refuse, _BLOCK_CHARS=chars, _BLOCK_ROWS=rows
+        ):
+            for corpus in [quoted, *corpora]:
+                assert parse_corpus_csv(*export_corpus_csv(corpus)) == corpus
+                assert parse_corpus_json(export_corpus_json(corpus)) == corpus
 
 
 # tracemalloc peak over input bytes, on a seeded corpus of 18 899 papers and
