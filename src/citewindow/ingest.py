@@ -24,8 +24,7 @@ paper index, year and count, which are checked in bulk, ranges included.
 This column path only accepts or rejects.  On a reject the parser reads
 its input again row by row (``_located_csv``, ``_located_json``), and
 that reader alone reports the first failure in file order, papers before
-citations; only a repeated id of a JSON paper wins over a repeated year
-of an earlier one.  So valid input is read once, and a column check
+citations.  So valid input is read once, and a column check
 stricter than its reader costs speed, not a result.  Citations before
 publication are left to the store build the parsers share with
 :func:`citewindow.model.validate_corpus`; so are a CSV pair's repeated
@@ -328,7 +327,7 @@ def _csv_columns(papers: bytes | str, citations: bytes | str) -> tuple:
         if paper.min() < 0 or not (_in_range(year, _YEAR_MIN, _YEAR_MAX) and _in_range(count, 1, _MAX_COUNT)):
             raise _Rejected
         parts.append((paper, year, count))
-    return index, np.concatenate(pub_years), titles, *map(np.concatenate, zip(*parts))
+    return list(index), np.concatenate(pub_years), titles, *map(np.concatenate, zip(*parts))
 
 
 def _in_range(values: np.ndarray, lo: int, hi: int) -> bool:
@@ -376,7 +375,7 @@ def _located_csv(papers: bytes | str, citations: bytes | str, opts: IngestOption
         seen.add(key)
         row_paper.append(key[0])
         years.append(key[1])
-    return _corpus_from_rows(index, pub_years, titles, row_paper, years, counts, opts.lenient_clamp)
+    return _corpus_from_rows(list(index), pub_years, titles, row_paper, years, counts, opts.lenient_clamp)
 
 
 _JSON_KEYS = frozenset(("id", "pub_year", "title", "citations"))
@@ -389,15 +388,25 @@ def parse_corpus_json(stream, opts: IngestOptions | None = None) -> Corpus:
     locator, the first one in the document; zero citation counts are
     violations (absent means zero).  Years must lie in 1000..9999, with
     year keys written as plain ASCII digits, and counts in 1..2**31 - 1.
+
+    The document is a tree of Python objects, several times the size of
+    its text.  The corpus keeps only the ids and titles, which the column
+    path copies out of the tree as one joined text each: were the tree's
+    own strings kept, they would pin every memory arena of it, and the
+    store build would be allocated on top of the dead tree.  So the whole
+    document is freed before the store is built.
     """
     opts = opts or IngestOptions()
     data = _json_document(stream)
     columns = _json_columns(data)
     if columns is None:
         return _located_json(data, opts)
+    del data
+    ids, pub_years, titles, nulls, *rows = columns
+    present = iter(_split(titles))
+    titles = [None if null else next(present) for null in nulls]
     # The checks leave no repeated row, so the store build cannot reject.
-    del data  # the store build reuses its memory
-    return _corpus_from_rows(*columns, opts.lenient_clamp)
+    return _corpus_from_rows(_split(ids), pub_years, titles, *rows, opts.lenient_clamp)
 
 
 def _json_document(stream) -> list:
@@ -417,20 +426,26 @@ def _json_document(stream) -> list:
 
 
 def _json_columns(data: list) -> tuple | None:
-    """The store build's arguments from the JSON papers ``data``, its
-    lenient flag aside, or None when some paper or citation entry breaks a
+    """(ids, pub_years, titles, nulls, row_paper, years, counts) of the JSON
+    papers ``data``, or None when some paper or citation entry breaks a
     rule or a year key is not exactly four characters.  Each check covers a
-    whole column at once."""
+    whole column at once.
+
+    Nothing returned refers to an object of ``data``, so freeing it frees
+    the whole document.  The ids and the non-null titles come as copies
+    made by :func:`_joined`, ``nulls`` tells for each paper whether its
+    title is null, and the other columns are numpy arrays.  No dict of the
+    ids is built, since it would hold the document's strings.
+    """
     if set(map(type, data)) - {dict} or set().union(*data) - _JSON_KEYS:
         return None
     ids, pub_years, titles, citations = (
         [obj.get(key) for obj in data] for key in ("id", "pub_year", "title", "citations")
     )
-    if set(map(type, ids)) - {str} or not all(ids):
-        return None
-    index = dict(zip(ids, range(len(ids))))
     if (
-        len(index) < len(ids)
+        set(map(type, ids)) - {str}
+        or not all(ids)
+        or len(set(ids)) < len(ids)
         or set(map(type, pub_years)) - {int}
         or min(pub_years, default=_YEAR_MIN) < _YEAR_MIN
         or max(pub_years, default=_YEAR_MAX) > _YEAR_MAX
@@ -452,7 +467,20 @@ def _json_columns(data: list) -> tuple | None:
     if not _in_range(counts, 1, _MAX_COUNT):
         return None
     row_paper = np.repeat(np.arange(len(data)), np.fromiter(map(len, citations), np.int64, len(data)))
-    return index, np.array(pub_years, dtype=np.int64), titles, row_paper, years, counts
+    nulls = [title is None for title in titles]
+    present = _joined([title for title in titles if title is not None])
+    return _joined(ids), np.array(pub_years, dtype=np.int64), present, nulls, row_paper, years, counts
+
+
+def _joined(texts: list[str]) -> str | list[str]:
+    """``texts`` as one new string, joined by NUL, or ``texts`` itself when
+    there is none or one holds a NUL.  :func:`_split` undoes it."""
+    joined = "\0".join(texts)
+    return joined if texts and joined.count("\0") == len(texts) - 1 else texts
+
+
+def _split(texts: str | list[str]) -> list[str]:
+    return texts.split("\0") if isinstance(texts, str) else texts
 
 
 def _located_json(data: list, opts: IngestOptions) -> Corpus:
@@ -484,14 +512,13 @@ def _located_json(data: list, opts: IngestOptions) -> Corpus:
             index[obj["id"]] = i
             pub_years.append(obj["pub_year"])
             titles.append(obj.get("title"))
-    except IngestError:
+    except (IngestError, DuplicateIdError):
         if repeated is None:
             raise
-    # A repeated year wins over every later failure but a repeated id,
-    # which is no IngestError.
+    # A repeated year wins over every later failure.
     if repeated is not None:
         raise SchemaError("duplicate citation year", repeated)
-    return _corpus_from_rows(index, pub_years, titles, row_paper, years, counts, opts.lenient_clamp)
+    return _corpus_from_rows(list(index), pub_years, titles, row_paper, years, counts, opts.lenient_clamp)
 
 
 def _located_paper(obj, path: str, index: dict) -> None:

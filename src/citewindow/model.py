@@ -441,33 +441,36 @@ class _Rejected(Exception):
     the parser then reads its input again row by row to locate it."""
 
 
-def _corpus_from_rows(index, pub_year, titles, row_paper, years, counts, lenient=False) -> Corpus:
+def _corpus_from_rows(ids, pub_year, titles, row_paper, years, counts, lenient=False) -> Corpus:
     """Store the columns of parsed or given papers as a :class:`Corpus`.
 
-    ``index`` maps each paper id to its position in input (file) order, in
-    that order, and the other paper columns follow it; citation rows come
-    in any order, ``row_paper`` giving each row's paper position.  Every
-    year and count is already in range: :func:`validate_corpus` checks
-    records and the parsers check files.  This build checks only two
-    rules, which the parsers leave to it.  A repeated (paper, year) row
-    raises :class:`_Rejected`, and the CSV parser then reads its files
+    ``ids``, ``pub_year`` and ``titles`` are sequences in input (file)
+    order; citation rows come in any order, ``row_paper`` giving each row's
+    input position.  Ids are sorted once as positions, so the build needs
+    no dict of them: a JSON parse hands over copies of its ids and titles
+    after freeing the document, and a dict would only hold them again.
+    Every year and count is already in range: :func:`validate_corpus`
+    checks records and the parsers check files.  This build checks only
+    two rules, which the parsers leave to it.  A repeated (paper, year)
+    row raises :class:`_Rejected`, and the CSV parser then reads its files
     again row by row to locate the first repeat.  A citation before
-    publication raises
-    :class:`CitationBeforePublicationError` for the first such paper in
-    input order, at its earliest early year; with ``lenient`` those
-    citations move to the publication year instead and merge with the rows
-    already there.
+    publication raises :class:`CitationBeforePublicationError` for the
+    first such paper in input order, at its earliest early year; with
+    ``lenient`` those citations move to the publication year instead and
+    merge with the rows already there.
     """
     pub_year = np.asarray(pub_year, dtype=np.int64)
     row_paper = np.asarray(row_paper, dtype=np.int64)
     years = np.asarray(years, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
-    ids = sorted(index)
-    id_order = np.fromiter(map(index.__getitem__, ids), np.int64, len(ids))
+    positions = sorted(range(len(ids)), key=ids.__getitem__)
+    id_order = np.array(positions, dtype=np.int64)
     rank = np.empty(len(ids), dtype=np.int64)
     rank[id_order] = np.arange(len(ids))
-    # Years lie in 1000..9999, below 2**14, so rank and year share one key.
-    keys = rank[row_paper] << 14 | years
+    # Years lie in 1000..9999, below 2**14, so rank and year share one key,
+    # and each sorted row's paper and year are read back from it.
+    ranks = rank[row_paper]
+    keys = ranks << 14 | years
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     if (keys[1:] == keys[:-1]).any():
@@ -477,27 +480,26 @@ def _corpus_from_rows(index, pub_year, titles, row_paper, years, counts, lenient
     if lenient:
         # A clamped year becomes the paper's publication year, which no other
         # row of that paper precedes, so the clamped keys stay sorted in ``order``.
-        years = np.maximum(years, published)
-        starts = np.flatnonzero(np.diff((rank[row_paper] << 14 | years)[order], prepend=-1))
+        keys = (ranks << 14 | np.maximum(years, published))[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
         counts = np.add.reduceat(counts[order], starts) if starts.size else counts[order]
-        order = order[starts]
+        keys = keys[starts]
     else:
         early = years < published
         if early.any():
             first = int(row_paper[early].min())
             year = int(years[early & (row_paper == first)].min())
-            raise CitationBeforePublicationError(list(index)[first], year)
+            raise CitationBeforePublicationError(ids[first], year)
         counts = counts[order]
-    row_paper = row_paper[order]
     offsets = np.zeros(len(ids) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rank[row_paper], minlength=len(ids)), out=offsets[1:])
+    np.cumsum(np.bincount(keys >> 14, minlength=len(ids)), out=offsets[1:])
     return Corpus._from_columns(
-        ids,
+        map(ids.__getitem__, positions),
         pub_year[id_order],
         offsets,
-        years[order],
+        keys & (1 << 14) - 1,
         counts,
-        np.fromiter(titles, object, len(ids))[id_order],
+        map(titles.__getitem__, positions),
     )
 
 
@@ -541,4 +543,4 @@ def validate_corpus(papers: Iterable[PaperRecord]) -> Corpus:
     # took 0.8 s, two thirds of the whole check.
     row_paper, years, counts = np.array(rows, dtype=np.int64).reshape(-1, 3).T
     pub_years, titles = [p.pub_year for p in records], [p.title for p in records]
-    return _corpus_from_rows(index, pub_years, titles, row_paper, years, counts)
+    return _corpus_from_rows(list(index), pub_years, titles, row_paper, years, counts)

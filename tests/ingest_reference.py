@@ -115,7 +115,7 @@ def parse_csv(papers, citations, opts):
         raise DuplicateYearRowError(paper_id, years[repeat], locators[repeat])
     if failure is not None:
         raise failure
-    return _corpus_from_rows(index, pub_years, titles, row_paper, years, counts, opts.lenient_clamp)
+    return _corpus_from_rows(list(index), pub_years, titles, row_paper, years, counts, opts.lenient_clamp)
 
 
 def parse_json(doc, opts):
@@ -168,7 +168,7 @@ def parse_json(doc, opts):
             index[obj["id"]] = i
             pub_years.append(obj["pub_year"])
             titles.append(obj.get("title"))
-    except IngestError as exc:
+    except (IngestError, DuplicateIdError) as exc:
         failure = exc
     else:
         failure = None
@@ -177,4 +177,4 @@ def parse_json(doc, opts):
         raise SchemaError("duplicate citation year", paths[repeat])
     if failure is not None:
         raise failure
-    return _corpus_from_rows(index, pub_years, titles, row_paper, years, np.array(counts, dtype=np.int64), opts.lenient_clamp)
+    return _corpus_from_rows(list(index), pub_years, titles, row_paper, years, np.array(counts, dtype=np.int64), opts.lenient_clamp)

@@ -1,5 +1,6 @@
 """``tools/loc.py``: which lines of a source file count as code;
-``tools/cli_peaks.py``: trees at paths of a given length."""
+``tools/cli_peaks.py``: trees at paths of a given length, and the commands
+run per workload."""
 
 import os
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from cli_peaks import path_of_length  # noqa: E402
+from cli_peaks import path_of_length, plan_commands  # noqa: E402
 from loc import code_lines  # noqa: E402
 
 
@@ -71,3 +72,16 @@ def test_path_of_length_pads_the_tag_to_the_length(length):
 def test_path_of_length_rejects_a_length_below_the_tag():
     with pytest.raises(ValueError):
         path_of_length("/tmp/x", "b", 7)
+
+
+def test_database_cli_runs_the_plans_commands():
+    plan = {"corpus": ["/in/papers.csv", "/in/citations.csv"], "commands": [["validate", ["validate", "/in/x"]]]}
+    assert plan_commands("database_cli", plan) == plan["commands"]
+
+
+def test_window_sweep_validates_and_tabulates_the_plans_document():
+    plan = {"corpus": ["/in/corpus.json"], "queries": [], "evolution_t": "0,all"}
+    assert plan_commands("window_sweep", plan) == [
+        ["validate", ["validate", "/in/corpus.json"]],
+        ["evolution", ["evolution", "/in/corpus.json", "--interpolated"]],
+    ]

@@ -1,10 +1,17 @@
-"""Peak RSS of the ``database_cli`` subcommands: a base commit against the
-checkout, each run from directories of several path lengths.
+"""Peak RSS of a benchmark workload's CLI subcommands: a base commit against
+the checkout, each run from directories of several path lengths.
 
 Usage, from anywhere inside the repository::
 
     python3 tools/cli_peaks.py --base REV --seeds 1340,1341,1342
     python3 tools/cli_peaks.py --base REV --seeds 1340,1341,1342 --lengths 40,80,120
+    python3 tools/cli_peaks.py --base REV --seeds 1340 --workload window_sweep
+
+``--workload database_cli`` (the default) runs that plan's six commands.
+``--workload window_sweep`` runs ``validate`` and ``evolution
+--interpolated`` on that plan's ``corpus.json``, 10^5 papers, so the peak
+of the largest JSON parse is read as a subprocess too; the benchmark
+itself runs that workload in process.
 
 The benchmark's ``database_cli`` workload reports as ``peak_rss_mb`` the
 largest peak RSS of its six CLI subprocesses.  The JSON ``evolution``
@@ -20,9 +27,9 @@ For each length N, the base commit's files (``git archive``) and a copy
 of the checkout (its tracked files and its untracked files that are not
 ignored) go to two directories whose absolute paths are N characters
 long.  Each seed's inputs are generated once with ``bench/plan.py
-prepare database_cli`` and copied into every tree's ``.bench_work/run/``,
+prepare WORKLOAD`` and copied into every tree's ``.bench_work/run/``,
 where ``bench/run.py`` keeps them.  For each seed and length, the sides
-take turns going first; each side runs the plan's six commands once to
+take turns going first; each side runs the commands once to
 write its bytecode caches, then once more, reading each peak from
 ``os.wait4`` with the environment ``bench/run.py`` gives its children.
 
@@ -79,25 +86,33 @@ def peak_mb(tree: str, args: list, out_path: str) -> float:
     return usage.ru_maxrss / 1024.0
 
 
-def prepare(root: str, seed: int, into: str) -> dict:
-    """The ``database_cli`` plan of ``seed``, with its inputs written under ``into``."""
+def prepare(root: str, workload: str, seed: int, into: str) -> dict:
+    """The ``workload`` plan of ``seed``, with its inputs written under ``into``."""
     os.makedirs(into)
     plan = os.path.join(root, "bench", "plan.py")
-    subprocess.run([sys.executable, plan, "prepare", "database_cli", str(seed), into], check=True)
+    subprocess.run([sys.executable, plan, "prepare", workload, str(seed), into], check=True)
     with open(os.path.join(into, "plan.json"), encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def place_inputs(inputs: str, plan: dict, tree: str) -> tuple[str, list]:
-    """Copy ``inputs`` to ``tree/.bench_work/run``; (that directory, the plan's
-    commands with their paths there)."""
+def plan_commands(workload: str, plan: dict) -> list:
+    """The (name, CLI arguments) pairs to run for ``workload``'s ``plan``."""
+    if workload == "database_cli":
+        return plan["commands"]
+    (doc,) = plan["corpus"]
+    return [["validate", ["validate", doc]], ["evolution", ["evolution", doc, "--interpolated"]]]
+
+
+def place_inputs(inputs: str, commands: list, tree: str) -> tuple[str, list]:
+    """Copy ``inputs`` to ``tree/.bench_work/run``; (that directory, the
+    ``commands`` with their paths there)."""
     run_dir = os.path.join(tree, ".bench_work", "run")
     shutil.rmtree(run_dir, ignore_errors=True)
     shutil.copytree(inputs, run_dir)
     commands = [
         (name, [os.path.join(run_dir, os.path.relpath(arg, inputs)) if arg.startswith(inputs + os.sep) else arg
                 for arg in args])
-        for name, args in plan["commands"]
+        for name, args in commands
     ]
     return run_dir, commands
 
@@ -122,6 +137,7 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="commit to compare against")
     parser.add_argument("--seeds", required=True, help="comma-separated benchmark seeds")
     parser.add_argument("--lengths", default="40,80,120", help="comma-separated path lengths of the trees")
+    parser.add_argument("--workload", default="database_cli", choices=("database_cli", "window_sweep"))
     args = parser.parse_args(argv)
     seeds = [int(seed) for seed in args.seeds.split(",")]
     lengths = [int(length) for length in args.lengths.split(",")]
@@ -141,14 +157,14 @@ def main(argv=None) -> int:
                     copy_checkout(root, tree)
         for seed in seeds:
             inputs = os.path.join(scratch, f"inputs-{seed}")
-            plan = prepare(root, seed, inputs)
-            names = [name for name, _ in plan["commands"]]
+            planned = plan_commands(args.workload, prepare(root, args.workload, seed, inputs))
+            names = [name for name, _ in planned]
             for length in lengths:
                 order = SIDES if len(configs) % 2 == 0 else SIDES[::-1]
                 config = {"seed": seed, "length": length}
                 for side in order:
                     tree = trees[side, length]
-                    run_dir, commands = place_inputs(inputs, plan, tree)
+                    run_dir, commands = place_inputs(inputs, planned, tree)
                     for _ in range(2):  # the first pass writes the bytecode caches
                         peaks = {name: peak_mb(tree, cmd, os.path.join(run_dir, f"{name}.out")) for name, cmd in commands}
                     peaks["max"] = max(peaks.values())
@@ -157,7 +173,7 @@ def main(argv=None) -> int:
                 print(f"seed {seed} length {length} done", file=sys.stderr, flush=True)
             shutil.rmtree(inputs)
 
-    print(f"base {base_rev} against the checkout at {root}: database_cli peak RSS in MB, "
+    print(f"base {base_rev} against the checkout at {root}: {args.workload} peak RSS in MB, "
           f"seeds {args.seeds}, path lengths {args.lengths}")
     print(f"{'seed':>5s} {'length':>6s} {'side':6s} " + " ".join(f"{name:>13s}" for name in names + ["max"]))
     for config in configs:
