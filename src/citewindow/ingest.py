@@ -19,8 +19,10 @@ spaces, underscores or digits of other scripts.  Anything else fails
 with a located error.  The bounds keep every citation sum inside int64,
 and four-digit year keys sort as their numbers do.
 
-Both parsers work a column at a time.  A file becomes int64 columns of
-paper index, year and count, which are checked in bulk, ranges included.
+Both parsers work a column at a time.  A file becomes numpy columns of
+paper index, year and count, which are checked in bulk, ranges included
+(int64 from a CSV pair; a JSON document gives int16 years and int32
+counts, and each paper's number of rows).
 This column path only accepts or rejects.  On a reject the parser reads
 its input again row by row (``_located_csv``, ``_located_json``), and
 that reader alone reports the first failure in file order, papers before
@@ -51,6 +53,7 @@ them to one of these two layouts first (see the README recipe).
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 from dataclasses import dataclass
@@ -85,7 +88,8 @@ _PAPERS_HEADERS = (PAPERS_HEADER, PAPERS_HEADER[:2])
 
 # Block sizes of the CSV readers (see the module docstring); _BLOCK_CHARS
 # counts bytes.  Splitting a whole file at once nearly tripled the traced
-# peak memory of a CSV parse.
+# peak memory of a CSV parse.  The JSON column path range-checks its
+# counts _BLOCK_ROWS at a time.
 _BLOCK_CHARS = 1 << 16
 _BLOCK_ROWS = 4096
 
@@ -390,11 +394,15 @@ def parse_corpus_json(stream, opts: IngestOptions | None = None) -> Corpus:
     year keys written as plain ASCII digits, and counts in 1..2**31 - 1.
 
     The document is a tree of Python objects, several times the size of
-    its text.  The corpus keeps only the ids and titles, which the column
-    path copies out of the tree as one joined text each: were the tree's
-    own strings kept, they would pin every memory arena of it, and the
-    store build would be allocated on top of the dead tree.  So the whole
-    document is freed before the store is built.
+    its text, and ``json.loads`` sets the parse's peak: the text and the
+    whole tree, plus the input's bytes while the caller holds them.  The
+    column path then adds only per-paper lists and narrow citation
+    columns.  The corpus keeps only the ids and titles, which that path
+    copies out of the tree as one joined text each: were the tree's own
+    strings kept, they would pin every memory arena of it, and the store
+    build would be allocated on top of the dead tree.  So the whole
+    document is freed before the store is built, and only then does each
+    citation row get its paper.
     """
     opts = opts or IngestOptions()
     data = _json_document(stream)
@@ -402,16 +410,31 @@ def parse_corpus_json(stream, opts: IngestOptions | None = None) -> Corpus:
     if columns is None:
         return _located_json(data, opts)
     del data
-    ids, pub_years, titles, nulls, *rows = columns
+    ids, pub_years, titles, nulls, lengths, years, counts = columns
+    del columns
     present = iter(_split(titles))
     titles = [None if null else next(present) for null in nulls]
+    row_paper = np.repeat(np.arange(len(lengths)), lengths)
+    # Widened here, before the store build allocates, not inside it: that
+    # order alone kept the JSON ``evolution`` subcommand's peak at 63 MB,
+    # not 71 (tools/cli_peaks.py), as its count cache then reuses heap
+    # the parse left free instead of mapping more.
+    years, counts = years.astype(np.int64), counts.astype(np.int64)
     # The checks leave no repeated row, so the store build cannot reject.
-    return _corpus_from_rows(_split(ids), pub_years, titles, *rows, opts.lenient_clamp)
+    return _corpus_from_rows(_split(ids), pub_years, titles, row_paper, years, counts, opts.lenient_clamp)
 
 
 def _json_document(stream) -> list:
-    """The array of papers of a JSON corpus; anything else raises its located error."""
+    """The array of papers of a JSON corpus; anything else raises its located error.
+
+    The cyclic garbage collector is paused while ``json.loads`` builds
+    the tree, and resumed only if it was on.  The tree holds no cycles, so
+    the collections its new containers would trigger free nothing.  The
+    switch is process-wide: other threads run without collection meanwhile.
+    """
     text = _decode(_content(stream), "corpus")
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -420,13 +443,16 @@ def _json_document(stream) -> list:
         raise ParseError("invalid JSON: nested too deeply", "corpus stream") from None
     except ValueError:  # an integer literal longer than sys.get_int_max_str_digits()
         raise ParseError("invalid JSON: a number has too many digits", "corpus stream") from None
+    finally:
+        if enabled:
+            gc.enable()
     if not isinstance(data, list):
         raise SchemaError("top level must be an array of paper objects", "$")
     return data
 
 
 def _json_columns(data: list) -> tuple | None:
-    """(ids, pub_years, titles, nulls, row_paper, years, counts) of the JSON
+    """(ids, pub_years, titles, nulls, lengths, years, counts) of the JSON
     papers ``data``, or None when some paper or citation entry breaks a
     rule or a year key is not exactly four characters.  Each check covers a
     whole column at once.
@@ -434,8 +460,14 @@ def _json_columns(data: list) -> tuple | None:
     Nothing returned refers to an object of ``data``, so freeing it frees
     the whole document.  The ids and the non-null titles come as copies
     made by :func:`_joined`, ``nulls`` tells for each paper whether its
-    title is null, and the other columns are numpy arrays.  No dict of the
-    ids is built, since it would hold the document's strings.
+    title is null, and the other columns are numpy arrays: ``lengths``
+    holds each paper's number of citation rows, and ``years`` (int16) and
+    ``counts`` (int32) the rows in document order.  No dict of the ids is
+    built, since it would hold the document's strings, and no list or
+    int64 column has an entry per citation row: the year keys are checked
+    as the set of their distinct texts, the counts' types in one pass and
+    their range a block at a time, and each column is filled straight from
+    the citation objects.
     """
     if set(map(type, data)) - {dict} or set().union(*data) - _JSON_KEYS:
         return None
@@ -453,23 +485,32 @@ def _json_columns(data: list) -> tuple | None:
         or set(map(type, citations)) - {dict}
     ):
         return None
-    keys = list(chain.from_iterable(citations))
-    values = list(chain.from_iterable(map(dict.values, citations)))
-    known: dict[str, int] = {}
-    years = _cell_ints(keys, known)
-    # A longer key ("02001") could repeat a year of its paper.
-    if set(map(len, known)) - {4} or set(map(type, values)) - {int} or not _in_range(years, _YEAR_MIN, _YEAR_MAX):
+    # A longer key ("02001") could repeat a year of its paper; four ASCII
+    # digits are at most 9999, which fits int16.  Any other key reads -1.
+    keys = set(chain.from_iterable(citations))
+    known = {key: int(key) if len(key) == 4 and key.isascii() and key.isdigit() else -1 for key in keys}
+    if min(known.values(), default=_YEAR_MIN) < _YEAR_MIN:
         return None
-    try:
-        counts = np.fromiter(values, np.int64, len(values))
-    except OverflowError:  # an int beyond int64
+    if set(map(type, chain.from_iterable(map(dict.values, citations)))) - {int}:
         return None
-    if not _in_range(counts, 1, _MAX_COUNT):
-        return None
-    row_paper = np.repeat(np.arange(len(data)), np.fromiter(map(len, citations), np.int64, len(data)))
+    lengths = np.fromiter(map(len, citations), np.int64, len(data))
+    rows = int(lengths.sum())
+    years = np.fromiter(map(known.__getitem__, chain.from_iterable(citations)), np.int16, rows)
+    # Every valid count fits int32.  Each block is range-checked as int64
+    # before it is narrowed, since numpy 1 wraps an int it narrows.
+    values = chain.from_iterable(map(dict.values, citations))
+    counts = np.empty(rows, np.int32)
+    for start in range(0, rows, _BLOCK_ROWS):
+        try:
+            block = np.fromiter(islice(values, _BLOCK_ROWS), np.int64)
+        except OverflowError:  # an int beyond int64
+            return None
+        if not _in_range(block, 1, _MAX_COUNT):
+            return None
+        counts[start : start + len(block)] = block
     nulls = [title is None for title in titles]
     present = _joined([title for title in titles if title is not None])
-    return _joined(ids), np.array(pub_years, dtype=np.int64), present, nulls, row_paper, years, counts
+    return _joined(ids), np.array(pub_years, dtype=np.int64), present, nulls, lengths, years, counts
 
 
 def _joined(texts: list[str]) -> str | list[str]:

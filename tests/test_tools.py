@@ -2,6 +2,7 @@
 ``tools/cli_peaks.py``: trees at paths of a given length, and the commands
 run per workload."""
 
+import json
 import os
 import sys
 from pathlib import Path
@@ -76,12 +77,16 @@ def test_path_of_length_rejects_a_length_below_the_tag():
 
 def test_database_cli_runs_the_plans_commands():
     plan = {"corpus": ["/in/papers.csv", "/in/citations.csv"], "commands": [["validate", ["validate", "/in/x"]]]}
-    assert plan_commands("database_cli", plan) == plan["commands"]
+    assert plan_commands("database_cli", plan) == [["validate", ["-m", "citewindow", "validate", "/in/x"]]]
 
 
-def test_window_sweep_validates_and_tabulates_the_plans_document():
-    plan = {"corpus": ["/in/corpus.json"], "queries": [], "evolution_t": "0,all"}
+def test_window_sweep_validates_and_tabulates_the_plans_document(tmp_path):
+    doc, job = str(tmp_path / "corpus.json"), str(tmp_path / "setup_job.json")
+    plan = {"corpus": [doc], "queries": [], "evolution_t": "0,all", "ref_year": 2024}
     assert plan_commands("window_sweep", plan) == [
-        ["validate", ["validate", "/in/corpus.json"]],
-        ["evolution", ["evolution", "/in/corpus.json", "--interpolated"]],
+        ["validate", ["-m", "citewindow", "validate", doc]],
+        ["evolution", ["-m", "citewindow", "evolution", doc, "--interpolated"]],
+        ["setup", ["bench/worker.py", job, str(tmp_path / "setup_result.json")]],
     ]
+    # The worker runs from a tree's root, on that tree's sources.
+    assert json.loads(Path(job).read_text()) == {"mode": "setup", "src": "src", "corpus": [doc], "ref_year": 2024}

@@ -10,8 +10,12 @@ Usage, from anywhere inside the repository::
 ``--workload database_cli`` (the default) runs that plan's six commands.
 ``--workload window_sweep`` runs ``validate`` and ``evolution
 --interpolated`` on that plan's ``corpus.json``, 10^5 papers, so the peak
-of the largest JSON parse is read as a subprocess too; the benchmark
-itself runs that workload in process.
+of the largest JSON parse is read as a subprocess too.  The benchmark
+itself runs that workload in process, and parses the bytes it has read,
+which it holds throughout, while the CLI parses from a file handle.  So
+a third entry, ``setup``, runs ``bench/worker.py`` on a ``setup`` job
+(the parse and the first query, where that workload's ``peak_rss_mb`` is
+set) from each tree.
 
 The benchmark's ``database_cli`` workload reports as ``peak_rss_mb`` the
 largest peak RSS of its six CLI subprocesses.  The JSON ``evolution``
@@ -73,10 +77,10 @@ def child_env(tree: str) -> dict:
 
 
 def peak_mb(tree: str, args: list, out_path: str) -> float:
-    """Run ``python -m citewindow ARGS`` in ``tree``; its peak RSS in MB."""
+    """Run ``python ARGS`` in ``tree``; its peak RSS in MB."""
     with open(out_path, "wb") as out:
         proc = subprocess.Popen(
-            [sys.executable, "-m", "citewindow", *args],
+            [sys.executable, *args],
             stdout=out, stderr=subprocess.DEVNULL, cwd=tree, env=child_env(tree),
         )
         _, status, usage = os.wait4(proc.pid, 0)
@@ -96,11 +100,21 @@ def prepare(root: str, workload: str, seed: int, into: str) -> dict:
 
 
 def plan_commands(workload: str, plan: dict) -> list:
-    """The (name, CLI arguments) pairs to run for ``workload``'s ``plan``."""
+    """The (name, interpreter arguments) pairs to run for ``workload``'s
+    ``plan``, each from a tree's root.  For ``window_sweep`` it also writes
+    the worker's ``setup`` job next to the plan's corpus, which the job
+    names where it was generated; its ``src`` is the running tree's."""
     if workload == "database_cli":
-        return plan["commands"]
+        return [[name, ["-m", "citewindow", *args]] for name, args in plan["commands"]]
     (doc,) = plan["corpus"]
-    return [["validate", ["validate", doc]], ["evolution", ["evolution", doc, "--interpolated"]]]
+    job, result = (os.path.join(os.path.dirname(doc), name) for name in ("setup_job.json", "setup_result.json"))
+    with open(job, "w", encoding="utf-8") as fh:
+        json.dump({"mode": "setup", "src": "src", "corpus": [doc], "ref_year": plan["ref_year"]}, fh)
+    return [
+        ["validate", ["-m", "citewindow", "validate", doc]],
+        ["evolution", ["-m", "citewindow", "evolution", doc, "--interpolated"]],
+        ["setup", [os.path.join("bench", "worker.py"), job, result]],
+    ]
 
 
 def place_inputs(inputs: str, commands: list, tree: str) -> tuple[str, list]:
