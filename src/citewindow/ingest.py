@@ -22,7 +22,9 @@ and four-digit year keys sort as their numbers do.
 Both parsers work a column at a time.  A file becomes numpy columns of
 paper index, year and count, which are checked in bulk, ranges included
 (int64 from a CSV pair; a JSON document gives int16 years and int32
-counts, and each paper's number of rows).
+counts, and each paper's number of rows).  A JSON document is read in
+pieces of about ``_PIECE_CHARS`` (1 Mi) characters, cut between papers,
+so only one piece's tree of Python objects is alive at a time.
 This column path only accepts or rejects.  On a reject the parser reads
 its input again row by row (``_located_csv``, ``_located_json``), and
 that reader alone reports the first failure in file order, papers before
@@ -56,6 +58,7 @@ import csv
 import gc
 import io
 import json
+import re
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 
@@ -88,10 +91,13 @@ _PAPERS_HEADERS = (PAPERS_HEADER, PAPERS_HEADER[:2])
 
 # Block sizes of the CSV readers (see the module docstring); _BLOCK_CHARS
 # counts bytes.  Splitting a whole file at once nearly tripled the traced
-# peak memory of a CSV parse.  The JSON column path range-checks its
-# counts _BLOCK_ROWS at a time.
+# peak memory of a CSV parse.
 _BLOCK_CHARS = 1 << 16
 _BLOCK_ROWS = 4096
+# The JSON parser reads its array in pieces of about _PIECE_CHARS
+# characters, cut at a _PIECE_CUT match (see parse_corpus_json).
+_PIECE_CHARS = 1 << 20
+_PIECE_CUT = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{")
 
 
 @dataclass(frozen=True)
@@ -393,46 +399,74 @@ def parse_corpus_json(stream, opts: IngestOptions | None = None) -> Corpus:
     violations (absent means zero).  Years must lie in 1000..9999, with
     year keys written as plain ASCII digits, and counts in 1..2**31 - 1.
 
-    The document is a tree of Python objects, several times the size of
-    its text, and ``json.loads`` sets the parse's peak: the text and the
-    whole tree, plus the input's bytes while the caller holds them.  The
-    column path then adds only per-paper lists and narrow citation
-    columns.  The corpus keeps only the ids and titles, which that path
-    copies out of the tree as one joined text each: were the tree's own
-    strings kept, they would pin every memory arena of it, and the store
-    build would be allocated on top of the dead tree.  So the whole
-    document is freed before the store is built, and only then does each
-    citation row get its paper.
+    The array is read in pieces of about ``_PIECE_CHARS`` characters,
+    each cut where the text has '}', ',' and '{' with only whitespace
+    between them, and parsed as an array of its own.  Pieces that each
+    parse join at those commas into the document, so together they hold
+    its papers.  Each piece's tree, several times the size of its text,
+    is checked a column at a time and freed before the next piece is
+    read.  Only its ids and titles are copied out, as one joined text
+    each (see :func:`_json_columns`): were a tree's own strings kept, they
+    would pin its memory arenas, and the next trees and the store build
+    would be allocated around them.  So ``json.loads`` never holds a tree of
+    the whole document, and the parse peaks after the pieces are read:
+    while their columns are joined, with the document's text still held
+    for the row reader, or in the store build, once that text is freed.
+
+    Anything a piece cannot settle sends the whole document to the row
+    reader: a piece that is not valid JSON, a top level that is not an
+    array, a rule broken, or an id repeated across pieces.  So is a
+    document whose cut lands inside a string, such as a title holding
+    "}, {": that piece does not parse.  It is read slower, with the same
+    result.
     """
     opts = opts or IngestOptions()
-    data = _json_document(stream)
-    columns = _json_columns(data)
+    text = _decode(_content(stream), "corpus")
+    columns = _json_pieces(text)
     if columns is None:
-        return _located_json(data, opts)
-    del data
-    ids, pub_years, titles, nulls, lengths, years, counts = columns
-    del columns
-    present = iter(_split(titles))
-    titles = [None if null else next(present) for null in nulls]
-    row_paper = np.repeat(np.arange(len(lengths)), lengths)
-    # Widened here, before the store build allocates, not inside it: that
-    # order alone kept the JSON ``evolution`` subcommand's peak at 63 MB,
-    # not 71 (tools/cli_peaks.py), as its count cache then reuses heap
-    # the parse left free instead of mapping more.
-    years, counts = years.astype(np.int64), counts.astype(np.int64)
+        return _located_json(_json_document(text), opts)
+    del text
     # The checks leave no repeated row, so the store build cannot reject.
-    return _corpus_from_rows(_split(ids), pub_years, titles, row_paper, years, counts, opts.lenient_clamp)
+    return _corpus_from_rows(*columns, opts.lenient_clamp)
 
 
-def _json_document(stream) -> list:
-    """The array of papers of a JSON corpus; anything else raises its located error.
+def _json_pieces(text: str) -> tuple | None:
+    """The store build's arguments from the JSON document ``text``, its
+    lenient flag aside, or None when a piece of it is not an array that
+    passes :func:`_json_columns` or an id repeats across pieces."""
+    parts, start = [], 0
+    while start is not None:
+        cut = _PIECE_CUT.search(text, start + _PIECE_CHARS)
+        end = cut.start() + 1 if cut else None
+        # The first piece holds the document's '[', the last its ']'.
+        try:
+            data = _json_document(("[" if start else "") + text[start:end] + ("]" if cut else ""))
+        except IngestError:
+            return None
+        parts.append(_json_columns(data))
+        del data  # so that no two trees are alive at once
+        if parts[-1] is None:
+            return None
+        start = cut and cut.end() - 1
+    ids, pub_years, present, nulls, lengths, years, counts = zip(*parts)
+    ids = [paper_id for part in ids for paper_id in _split(part)]
+    if len(set(ids)) < len(ids):
+        return None
+    present = iter([title for part in present for title in _split(part)])
+    titles = [None if null else next(present) for part in nulls for null in part]
+    pub_years, lengths, years, counts = map(np.concatenate, (pub_years, lengths, years, counts))
+    return ids, pub_years, titles, np.repeat(np.arange(len(lengths)), lengths), years, counts
+
+
+def _json_document(text: str) -> list:
+    """The array of papers of a JSON corpus, or of a piece of one; anything
+    else raises its located error.
 
     The cyclic garbage collector is paused while ``json.loads`` builds
     the tree, and resumed only if it was on.  The tree holds no cycles, so
     the collections its new containers would trigger free nothing.  The
     switch is process-wide: other threads run without collection meanwhile.
     """
-    text = _decode(_content(stream), "corpus")
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -455,19 +489,16 @@ def _json_columns(data: list) -> tuple | None:
     """(ids, pub_years, titles, nulls, lengths, years, counts) of the JSON
     papers ``data``, or None when some paper or citation entry breaks a
     rule or a year key is not exactly four characters.  Each check covers a
-    whole column at once.
+    whole column at once.  Repeated ids are left to the caller, which
+    sees those of every piece.
 
     Nothing returned refers to an object of ``data``, so freeing it frees
-    the whole document.  The ids and the non-null titles come as copies
-    made by :func:`_joined`, ``nulls`` tells for each paper whether its
-    title is null, and the other columns are numpy arrays: ``lengths``
-    holds each paper's number of citation rows, and ``years`` (int16) and
+    the whole tree.  The ids and the non-null titles come as copies made
+    by :func:`_joined`, ``nulls`` tells for each paper whether its title
+    is null, and the other columns are numpy arrays: ``lengths`` holds
+    each paper's number of citation rows, and ``years`` (int16) and
     ``counts`` (int32) the rows in document order.  No dict of the ids is
-    built, since it would hold the document's strings, and no list or
-    int64 column has an entry per citation row: the year keys are checked
-    as the set of their distinct texts, the counts' types in one pass and
-    their range a block at a time, and each column is filled straight from
-    the citation objects.
+    built, since it would hold the tree's strings.
     """
     if set(map(type, data)) - {dict} or set().union(*data) - _JSON_KEYS:
         return None
@@ -477,7 +508,6 @@ def _json_columns(data: list) -> tuple | None:
     if (
         set(map(type, ids)) - {str}
         or not all(ids)
-        or len(set(ids)) < len(ids)
         or set(map(type, pub_years)) - {int}
         or min(pub_years, default=_YEAR_MIN) < _YEAR_MIN
         or max(pub_years, default=_YEAR_MAX) > _YEAR_MAX
@@ -485,32 +515,25 @@ def _json_columns(data: list) -> tuple | None:
         or set(map(type, citations)) - {dict}
     ):
         return None
+    keys = list(chain.from_iterable(citations))
+    values = list(chain.from_iterable(map(dict.values, citations)))
     # A longer key ("02001") could repeat a year of its paper; four ASCII
     # digits are at most 9999, which fits int16.  Any other key reads -1.
-    keys = set(chain.from_iterable(citations))
-    known = {key: int(key) if len(key) == 4 and key.isascii() and key.isdigit() else -1 for key in keys}
-    if min(known.values(), default=_YEAR_MIN) < _YEAR_MIN:
+    known = {key: int(key) if len(key) == 4 and key.isascii() and key.isdigit() else -1 for key in set(keys)}
+    if min(known.values(), default=_YEAR_MIN) < _YEAR_MIN or set(map(type, values)) - {int}:
         return None
-    if set(map(type, chain.from_iterable(map(dict.values, citations)))) - {int}:
+    try:
+        counts = np.array(values, np.int64)
+    except OverflowError:  # an int beyond int64
         return None
+    # Every valid count fits int32; it is narrowed only once it is checked.
+    if not _in_range(counts, 1, _MAX_COUNT):
+        return None
+    years = np.fromiter(map(known.__getitem__, keys), np.int16, len(keys))
     lengths = np.fromiter(map(len, citations), np.int64, len(data))
-    rows = int(lengths.sum())
-    years = np.fromiter(map(known.__getitem__, chain.from_iterable(citations)), np.int16, rows)
-    # Every valid count fits int32.  Each block is range-checked as int64
-    # before it is narrowed, since numpy 1 wraps an int it narrows.
-    values = chain.from_iterable(map(dict.values, citations))
-    counts = np.empty(rows, np.int32)
-    for start in range(0, rows, _BLOCK_ROWS):
-        try:
-            block = np.fromiter(islice(values, _BLOCK_ROWS), np.int64)
-        except OverflowError:  # an int beyond int64
-            return None
-        if not _in_range(block, 1, _MAX_COUNT):
-            return None
-        counts[start : start + len(block)] = block
     nulls = [title is None for title in titles]
     present = _joined([title for title in titles if title is not None])
-    return _joined(ids), np.array(pub_years, dtype=np.int64), present, nulls, lengths, years, counts
+    return _joined(ids), np.array(pub_years, dtype=np.int64), present, nulls, lengths, years, counts.astype(np.int32)
 
 
 def _joined(texts: list[str]) -> str | list[str]:

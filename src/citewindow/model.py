@@ -450,7 +450,10 @@ def _corpus_from_rows(ids, pub_year, titles, row_paper, years, counts, lenient=F
     no dict of them: a JSON parse hands over copies of its ids and titles
     after freeing the document, and a dict would only hold them again.
     Every year and count is already in range: :func:`validate_corpus`
-    checks records and the parsers check files.  This build checks only
+    checks records and the parsers check files.  So years are read as
+    int16 and counts as int32, which a JSON parse hands over as they are,
+    and each int64 column per row is built in place or freed once used,
+    to keep the build's peak low.  This build checks only
     two rules, which the parsers leave to it.  A repeated (paper, year)
     row raises :class:`_Rejected`, and the CSV parser then reads its files
     again row by row to locate the first repeat.  A citation before
@@ -461,43 +464,45 @@ def _corpus_from_rows(ids, pub_year, titles, row_paper, years, counts, lenient=F
     """
     pub_year = np.asarray(pub_year, dtype=np.int64)
     row_paper = np.asarray(row_paper, dtype=np.int64)
-    years = np.asarray(years, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
+    years = np.asarray(years, dtype=np.int16)
+    counts = np.asarray(counts, dtype=np.int32)
     positions = sorted(range(len(ids)), key=ids.__getitem__)
     id_order = np.array(positions, dtype=np.int64)
     rank = np.empty(len(ids), dtype=np.int64)
     rank[id_order] = np.arange(len(ids))
     # Years lie in 1000..9999, below 2**14, so rank and year share one key,
     # and each sorted row's paper and year are read back from it.
-    ranks = rank[row_paper]
-    keys = ranks << 14 | years
+    keys = rank[row_paper]
+    keys <<= 14
+    keys |= years
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     if (keys[1:] == keys[:-1]).any():
         raise _Rejected
 
-    published = pub_year[row_paper]
     if lenient:
         # A clamped year becomes the paper's publication year, which no other
-        # row of that paper precedes, so the clamped keys stay sorted in ``order``.
-        keys = (ranks << 14 | np.maximum(years, published))[order]
+        # row of that paper precedes, so the clamped keys stay sorted.
+        np.maximum(keys, keys >> 14 << 14 | pub_year[row_paper[order]], out=keys)
         starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        counts = np.add.reduceat(counts[order], starts) if starts.size else counts[order]
+        counts = np.add.reduceat(counts[order], starts, dtype=np.int64) if starts.size else counts[order]
         keys = keys[starts]
     else:
-        early = years < published
+        early = years < pub_year[row_paper]
         if early.any():
             first = int(row_paper[early].min())
             year = int(years[early & (row_paper == first)].min())
             raise CitationBeforePublicationError(ids[first], year)
         counts = counts[order]
-    offsets = np.zeros(len(ids) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys >> 14, minlength=len(ids)), out=offsets[1:])
+    del order
+    # Paper r's rows are the keys in [r << 14, (r + 1) << 14).
+    offsets = np.searchsorted(keys, np.arange(len(ids) + 1) << 14)
+    keys &= (1 << 14) - 1
     return Corpus._from_columns(
         map(ids.__getitem__, positions),
         pub_year[id_order],
         offsets,
-        keys & (1 << 14) - 1,
+        keys,
         counts,
         map(titles.__getitem__, positions),
     )

@@ -42,6 +42,7 @@ from citewindow.model import _Rejected
 from citewindow.tables import OutputTable
 import ingest_reference
 from helpers import random_corpus
+from test_golden import GOLDEN, ingest_errors
 
 PAPERS_CSV = b"paper_id,pub_year,title\nP1,2000,\nP2,2001,\n"
 CITATIONS_CSV = (
@@ -233,6 +234,14 @@ class TestParseJson:
         doc = b'[{"id":"P","pub_year":2000,"citations":{"1998":2,"2000":1}}]'
         corpus = parse_corpus_json(doc, IngestOptions(lenient_clamp=True))
         assert corpus.by_id["P"].citations == ((2000, 3),)
+        # Papers out of id order, each clamped to its own publication year.
+        doc = (
+            b'[{"id":"B","pub_year":2005,"citations":{"2001":1,"2006":2}},'
+            b'{"id":"A","pub_year":2000,"citations":{"1999":4,"2001":3}}]'
+        )
+        corpus = parse_corpus_json(doc, IngestOptions(lenient_clamp=True))
+        assert corpus.by_id["A"].citations == ((2000, 4), (2001, 3))
+        assert corpus.by_id["B"].citations == ((2005, 1), (2006, 2))
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize(
@@ -401,6 +410,9 @@ class TestStrictIntegers:
         window = YearWindow.through(2001)
         assert corpus.total_citations() == 2 * MAX_COUNT
         assert windowed_h(corpus, window, window).h == 1
+        # Clamped rows merge into one count above the bound, summed in int64.
+        doc = json_doc(citations=f'{{"1998": {MAX_COUNT}, "1999": {MAX_COUNT}}}')
+        assert parse_corpus_json(doc, IngestOptions(lenient_clamp=True)).by_id["P"].citations == ((2000, 2 * MAX_COUNT),)
 
 
 def csv_pair(papers: str, citations: str) -> tuple[bytes, bytes]:
@@ -685,12 +697,13 @@ class TestAgainstRowByRowReference:
                 ingest_reference.parse_csv, *files, lenient=lenient
             )
 
-    @given(faulty_json_docs(), st.booleans())
+    @given(faulty_json_docs(), st.booleans(), st.just(ingest._PIECE_CHARS) | st.integers(1, 60))
     @settings(max_examples=400)
-    def test_json(self, doc, lenient):
-        assert outcome(parse_corpus_json, doc, lenient=lenient) == outcome(
-            ingest_reference.parse_json, doc, lenient=lenient
-        )
+    def test_json(self, doc, lenient, chars):
+        with mock.patch.object(ingest, "_PIECE_CHARS", chars):
+            assert outcome(parse_corpus_json, doc, lenient=lenient) == outcome(
+                ingest_reference.parse_json, doc, lenient=lenient
+            )
 
 
 def reference_int(cell: str) -> int:
@@ -822,17 +835,17 @@ class TestColumnPathAcceptsValidInput:
 
 
 # tracemalloc peak over input bytes, on a seeded corpus of 18 899 papers and
-# 174 859 citation rows with titles.  The bounds are the peaks of the
-# row-by-row parsers (11.5 for the CSV pair, 7.0 for JSON) plus 10 %; the
-# column parsers measured 8.3 and 4.2, and splitting a whole CSV file at
-# once instead of in blocks measured 22.6.
-CSV_PEAK_PER_INPUT_BYTE = 12.6
-JSON_PEAK_PER_INPUT_BYTE = 7.7
-# tracemalloc peak of the JSON column path over a document already parsed,
-# per citation row and paper of that corpus.  Lists and int64 columns with
-# an entry per row measured 43.1; filling narrow columns straight from the
-# citation objects measured 12.8.
-JSON_COLUMNS_PEAK_PER_ROW_AND_PAPER = 24
+# 174 859 citation rows with titles.  The bounds are the measured peaks (4.48
+# for the CSV pair, 2.45 for JSON) plus 10 %, as the row-by-row parsers' were
+# (11.5 and 7.0).  Parsing the JSON document as one tree measured 3.51, a
+# store build that widened its columns first 5.72 for the CSV pair, and
+# splitting a whole CSV file at once instead of in blocks 22.6.
+CSV_PEAK_PER_INPUT_BYTE = 4.9
+JSON_PEAK_PER_INPUT_BYTE = 2.7
+# tracemalloc peak of the JSON column stage over one piece already parsed,
+# per character of that piece: 1.37 measured, with flat lists of the
+# piece's year keys and counts.  It follows the piece, not the document.
+JSON_COLUMNS_PEAK_PER_PIECE_CHAR = 1.5
 
 
 class TestIngestMemory:
@@ -860,9 +873,13 @@ class TestIngestMemory:
         _, doc = exports
         assert self.peak(lambda: parse_corpus_json(doc)) < JSON_PEAK_PER_INPUT_BYTE * len(doc)
 
-    def test_json_columns_peak_over_the_live_document(self, exports):
+    def test_json_columns_peak_over_one_piece(self, exports):
         _, doc = exports
-        data = ingest._json_document(doc)
+        text = doc.decode()
+        cut = ingest._PIECE_CUT.search(text, ingest._PIECE_CHARS)
+        assert cut is not None  # the document has more than one piece
+        piece = text[: cut.start() + 1] + "]"
+        data = ingest._json_document(piece)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -870,7 +887,7 @@ class TestIngestMemory:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < JSON_COLUMNS_PEAK_PER_ROW_AND_PAPER * (18899 + 174859)
+        assert peak < JSON_COLUMNS_PEAK_PER_PIECE_CHAR * len(piece)
 
     # Run in a fresh interpreter: the resident growth in MB from before the
     # input is read to after the parse, the corpus kept and the input freed.
@@ -908,6 +925,77 @@ print(resident() - before)
             return float(subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout)
 
         assert growth("corpus.json") <= growth("papers.csv", "citations.csv")
+
+
+# A piece size below any paper's length, so that each paper is its own piece.
+SMALL_PIECES = 30
+
+
+def compact_json(papers) -> bytes:
+    """The records ``papers`` in the layout the benchmark writes: one paper per line."""
+    entries = [
+        {"id": p.id, "pub_year": p.pub_year, "title": p.title, "citations": {str(y): c for y, c in p.citations}}
+        for p in papers
+    ]
+    return ("[\n" + ",\n".join(json.dumps(entry, ensure_ascii=False) for entry in entries) + "\n]\n").encode()
+
+
+class TestJsonPieces:
+    """A JSON document read in pieces of ``SMALL_PIECES`` characters gives
+    the corpus or the located error it gives read as one piece."""
+
+    @staticmethod
+    def in_pieces(doc) -> tuple:
+        """The outcome of parsing ``doc`` in small pieces, and whether the row reader ran."""
+        with mock.patch.object(ingest, "_PIECE_CHARS", SMALL_PIECES), mock.patch.object(
+            ingest, "_located_json", wraps=ingest._located_json
+        ) as located:
+            return outcome(parse_corpus_json, doc), located.called
+
+    def test_golden_ingest_errors(self):
+        expected = json.loads((GOLDEN / "ingest_errors.json").read_text(encoding="utf-8"))
+        with mock.patch.object(ingest, "_PIECE_CHARS", SMALL_PIECES):
+            assert ingest_errors() == expected
+
+    def test_benchmark_and_export_layouts(self):
+        corpus = random_corpus(np.random.default_rng(8), max_papers=60, with_titles=True)
+        for doc in (compact_json(corpus), export_corpus_json(corpus)):
+            columns = mock.Mock(wraps=ingest._json_columns)
+            refuse = mock.Mock(side_effect=AssertionError("valid input took the row reader"))
+            with mock.patch.multiple(ingest, _PIECE_CHARS=SMALL_PIECES, _json_columns=columns, _located_json=refuse):
+                assert parse_corpus_json(doc) == corpus
+            assert columns.call_count == len(corpus)
+
+    @pytest.mark.parametrize("title", ["}, {", "},{", '"}, {"'])
+    def test_a_cut_inside_a_string_takes_the_row_reader(self, title):
+        papers = [PaperRecord("B", 2000, {2001: 1}), PaperRecord("A", 2000, {2001: 2}, title=title)]
+        doc = compact_json(papers)
+        assert json.dumps(title)[1:-1] in doc.decode()
+        result, located = self.in_pieces(doc)
+        assert located
+        assert result == outcome(parse_corpus_json, doc) == export_corpus_json(validate_corpus(papers))
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            b'[{"id": "A", "pub_year": 2000, "citations": {}}, {"id": "B", "pub_year": 2000, "citations": {}},]',
+            b'[{"id": "A", "pub_year": 2000, "citations": {}} {"id": "B", "pub_year": 2000, "citations": {}}]',
+        ],
+        ids=["trailing_comma", "missing_comma"],
+    )
+    def test_invalid_json_between_papers(self, doc):
+        whole = outcome(parse_corpus_json, doc)
+        assert whole[0] == "ParseError"
+        assert self.in_pieces(doc)[0] == whole
+
+    def test_an_id_repeated_across_pieces(self):
+        doc = json.dumps([{"id": paper_id, "pub_year": 2000, "citations": {}} for paper_id in "ABA"]).encode()
+        columns = mock.Mock(wraps=ingest._json_columns)
+        with mock.patch.object(ingest, "_json_columns", columns):
+            pieces = self.in_pieces(doc)
+        assert columns.call_count == 3
+        assert pieces == (outcome(parse_corpus_json, doc), True)
+        assert pieces[0][0::2] == ("DuplicateIdError", "$[2].id")
 
 
 class TestJsonStringCopies:
@@ -952,13 +1040,14 @@ class TestJsonStringCopies:
         papers = self.DOCS[name]
         doc = json.dumps(papers).encode()
         refuse = mock.Mock(side_effect=AssertionError("valid input took the row reader"))
-        with mock.patch.object(ingest, "_located_json", refuse):
-            corpus = parse_corpus_json(doc)
-        order = sorted(range(len(papers)), key=lambda i: papers[i]["id"])
-        assert corpus._ids == tuple(papers[i]["id"] for i in order)
-        assert corpus._titles == tuple(papers[i].get("title") for i in order)
-        assert [type(title) for title in corpus._titles] == [type(papers[i].get("title")) for i in order]
-        assert corpus == ingest_reference.parse_json(doc, IngestOptions())
+        for chars in (ingest._PIECE_CHARS, SMALL_PIECES):
+            with mock.patch.multiple(ingest, _located_json=refuse, _PIECE_CHARS=chars):
+                corpus = parse_corpus_json(doc)
+            order = sorted(range(len(papers)), key=lambda i: papers[i]["id"])
+            assert corpus._ids == tuple(papers[i]["id"] for i in order)
+            assert corpus._titles == tuple(papers[i].get("title") for i in order)
+            assert [type(title) for title in corpus._titles] == [type(papers[i].get("title")) for i in order]
+            assert corpus == ingest_reference.parse_json(doc, IngestOptions())
 
     @given(st.lists(st.text(alphabet=st.sampled_from("a\0é") | st.characters(), max_size=4), max_size=6))
     def test_split_undoes_joined(self, texts):

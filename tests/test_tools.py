@@ -81,12 +81,27 @@ def test_database_cli_runs_the_plans_commands():
 
 
 def test_window_sweep_validates_and_tabulates_the_plans_document(tmp_path):
-    doc, job = str(tmp_path / "corpus.json"), str(tmp_path / "setup_job.json")
-    plan = {"corpus": [doc], "queries": [], "evolution_t": "0,all", "ref_year": 2024}
+    doc = str(tmp_path / "corpus.json")
+    queries = [["w", None, 2000, None, 2000, False]]
+    plan = {"corpus": [doc], "queries": queries, "evolution_t": "0,all", "ref_year": 2024}
     assert plan_commands("window_sweep", plan) == [
         ["validate", ["-m", "citewindow", "validate", doc]],
         ["evolution", ["-m", "citewindow", "evolution", doc, "--interpolated"]],
-        ["setup", ["bench/worker.py", job, str(tmp_path / "setup_result.json")]],
+        *(
+            [name, ["bench/worker.py", str(tmp_path / f"{name}_job.json"), str(tmp_path / f"{name}_result.json")]]
+            for name in ("setup", "sweep")
+        ),
     ]
-    # The worker runs from a tree's root, on that tree's sources.
-    assert json.loads(Path(job).read_text()) == {"mode": "setup", "src": "src", "corpus": [doc], "ref_year": 2024}
+    # The worker runs from a tree's root, on that tree's sources; the sweep
+    # job runs three rounds however long they take.
+    common = {"src": "src", "corpus": [doc], "ref_year": 2024}
+    assert json.loads((tmp_path / "setup_job.json").read_text()) == {"mode": "setup", **common}
+    assert json.loads((tmp_path / "sweep_job.json").read_text()) == {
+        "mode": "sweep",
+        **common,
+        "queries": queries,
+        "evolution_t": "0,all",
+        "min_rounds": 3,
+        "seconds": 0,
+        "outputs": str(tmp_path / "sweep_outputs.json"),
+    }

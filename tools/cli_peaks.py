@@ -13,9 +13,14 @@ Usage, from anywhere inside the repository::
 of the largest JSON parse is read as a subprocess too.  The benchmark
 itself runs that workload in process, and parses the bytes it has read,
 which it holds throughout, while the CLI parses from a file handle.  So
-a third entry, ``setup``, runs ``bench/worker.py`` on a ``setup`` job
-(the parse and the first query, where that workload's ``peak_rss_mb`` is
-set) from each tree.
+two more entries run ``bench/worker.py`` from each tree: ``setup`` (the
+parse and the first query) and ``sweep`` (the setup, then three rounds
+of the plan's window queries and evolution table, with no time budget).
+The benchmark's ``peak_rss_mb`` for that workload is its sweep worker's.
+The JSON parse holds one piece's tree at a time, so the sweep rounds,
+not the setup, set that peak, and the ``sweep`` entry reads it.  The
+benchmark runs rounds for its whole time budget and keeps every round's
+per-operation timings, so it reads a few MB above this entry.
 
 The benchmark's ``database_cli`` workload reports as ``peak_rss_mb`` the
 largest peak RSS of its six CLI subprocesses.  The JSON ``evolution``
@@ -102,19 +107,25 @@ def prepare(root: str, workload: str, seed: int, into: str) -> dict:
 def plan_commands(workload: str, plan: dict) -> list:
     """The (name, interpreter arguments) pairs to run for ``workload``'s
     ``plan``, each from a tree's root.  For ``window_sweep`` it also writes
-    the worker's ``setup`` job next to the plan's corpus, which the job
-    names where it was generated; its ``src`` is the running tree's."""
+    the worker's ``setup`` and ``sweep`` jobs next to the plan's corpus,
+    which the jobs name where it was generated; their ``src`` is the
+    running tree's."""
     if workload == "database_cli":
         return [[name, ["-m", "citewindow", *args]] for name, args in plan["commands"]]
     (doc,) = plan["corpus"]
-    job, result = (os.path.join(os.path.dirname(doc), name) for name in ("setup_job.json", "setup_result.json"))
-    with open(job, "w", encoding="utf-8") as fh:
-        json.dump({"mode": "setup", "src": "src", "corpus": [doc], "ref_year": plan["ref_year"]}, fh)
-    return [
+    here = os.path.dirname(doc)
+    sweep = {key: plan[key] for key in ("queries", "evolution_t")}
+    sweep.update(min_rounds=3, seconds=0, outputs=os.path.join(here, "sweep_outputs.json"))
+    commands = [
         ["validate", ["-m", "citewindow", "validate", doc]],
         ["evolution", ["-m", "citewindow", "evolution", doc, "--interpolated"]],
-        ["setup", [os.path.join("bench", "worker.py"), job, result]],
     ]
+    for name, extra in (("setup", {}), ("sweep", sweep)):
+        job, result = (os.path.join(here, f"{name}_{kind}.json") for kind in ("job", "result"))
+        with open(job, "w", encoding="utf-8") as fh:
+            json.dump({"mode": name, "src": "src", "corpus": [doc], "ref_year": plan["ref_year"], **extra}, fh)
+        commands.append([name, [os.path.join("bench", "worker.py"), job, result]])
+    return commands
 
 
 def place_inputs(inputs: str, commands: list, tree: str) -> tuple[str, list]:
