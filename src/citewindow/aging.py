@@ -16,7 +16,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import EmptyCorpusError, RefYearBeforePublicationError, ZeroCitationsError
-from .model import Corpus, PaperRecord, _segment_sums
+from .model import Corpus, PaperRecord
 from .rational import as_fraction
 
 __all__ = [
@@ -132,22 +132,21 @@ def _quantile_windows(corpus: Corpus, ref_year: int, quantiles) -> np.ndarray:
     Column k holds each paper's t for ``quantiles[k]``: the age of its
     first citation row whose running count reaches q times its total up
     to ``ref_year``, which is where its cumulative series first reaches
-    that share.  Rows of papers without citations up to ``ref_year`` are
-    meaningless.
+    that share.  The running count over all rows never decreases, so one
+    binary search per quantile finds that row for every paper.  Rows of
+    papers without citations up to ``ref_year`` are meaningless.
     """
-    years, offsets, row_paper = corpus._years, corpus._offsets, corpus._row_paper
+    years, offsets = corpus._years, corpus._offsets
+    # Running count over all rows; past ref_year a paper adds nothing.
     running = np.zeros(years.size + 1, dtype=np.int64)
     np.cumsum(np.where(years <= ref_year, corpus._counts, 0), out=running[1:])
     base = running[offsets[:-1]]
     totals = running[offsets[1:]] - base
-    # Running count per paper; past ref_year it stays at the total.
-    reached = running[1:] - base[row_paper]
     windows = np.zeros((len(corpus), len(quantiles)), dtype=np.int64)
     if not years.size:
         return windows
     for k, q in enumerate(quantiles):
-        short = reached < _ceil_share(totals, q)[row_paper]
-        first = offsets[:-1] + _segment_sums(short, offsets)
+        first = np.searchsorted(running[1:], base + _ceil_share(totals, q))
         windows[:, k] = years.take(first, mode="clip") - corpus._pub_year
     return windows
 

@@ -266,7 +266,8 @@ def timed_h(corpus: Corpus, y: int, t: int, interpolated: bool = False) -> Index
 
 # Most entries (cells x combined column width) one chunk may hold, so
 # that a chunk's temporaries (two gathered prefix blocks and their
-# difference) stay near 50 KB, or 100 KB once the cache is int64.
+# difference) stay near 50 KB with an int32 cache: half that at int16,
+# twice that at int64.
 _CHUNK_ELEMENTS = 4096
 
 

@@ -16,8 +16,8 @@ threads or workers.
 
 In a validated corpus, years lie in 1000..9999 and counts in
 1..2**31 - 1, so no per-paper or per-window sum can overflow int64.  The
-count cache holds int32 sums instead whenever every paper's total fits
-(see :class:`_DenseCounts`).
+count cache holds int16 or int32 sums instead whenever every paper's
+total fits (see :class:`_DenseCounts`).
 
 Each rule is checked once, where the data enters: :func:`validate_corpus`
 checks records and the parsers in :mod:`citewindow.ingest` check files.
@@ -210,19 +210,19 @@ class _DenseCounts:
     (the top block's part of one cell) and :meth:`_chunk_counts` (a run of
     cells), all in descending order.
 
-    ``prefix`` is int32 when no paper's total exceeds 2**31 - 1, and int64
-    otherwise.  The bound is exact: every prefix entry, and so every
-    window count, is a partial sum of one paper's citations.  Readers take
-    Python ints out of it, so the dtype changes no result.
+    ``prefix`` takes the narrowest of int16, int32 and int64 that holds
+    every paper's total.  The bound is exact: every prefix entry, and so
+    every window count, is a partial sum of one paper's citations.  Readers
+    take Python ints out of it, so the dtype changes no result.
 
     A corpus of more than 4 x :data:`_TOP_COLUMNS` papers also gets, on
     first use, a top block: the prefix columns of the ``_TOP_COLUMNS``
     papers with the largest lifetime totals (``prefix[-1]``), in the same
-    column order, and two bounds over the papers outside it, per prefix
-    row j: ``upto[j]``, the most citations any of them has in
-    ``years[:j]``, and ``within[j]``, the sum over rows 1..j of the
-    largest single-year count ``prefix[i] - prefix[i - 1]`` of any of
-    them.  A paper's count in the rows lo..hi is
+    column order and dtype, copied row-major, and two bounds over the
+    papers outside it, per prefix row j: ``upto[j]``, the most citations
+    any of them has in ``years[:j]``, and ``within[j]``, the sum over rows
+    1..j of the largest single-year count ``prefix[i] - prefix[i - 1]`` of
+    any of them.  A paper's count in the rows lo..hi is
     ``prefix[hi] - prefix[lo]``, which is at most ``prefix[hi]`` and at
     most the sum of its own counts in the years ``years[lo:hi]``, so no
     paper outside the block counts more than
@@ -234,8 +234,8 @@ class _DenseCounts:
     """
 
     def __init__(self, corpus: "Corpus"):
-        fits = corpus._totals().max(initial=0) <= np.iinfo(np.int32).max
-        dtype = np.int32 if fits else np.int64
+        largest = corpus._totals().max(initial=0)
+        dtype = next(t for t in (np.int16, np.int32, np.int64) if largest <= np.iinfo(t).max)
         # Stored years lie in 1000..9999, so a presence table orders them
         # without a sort: year y adds its counts to prefix row rank[y].
         present = np.zeros(_YEAR_MAX + 1, dtype=bool)
@@ -294,7 +294,8 @@ class _DenseCounts:
             np.subtract(row, rise, out=rise)
             within.append(within[-1] + int(rise.max()))
             row, rise = rise, row
-        return columns.tolist(), self.prefix[:, columns], upto, within
+        # ``take`` copies the block row-major, so a cell reads two contiguous rows.
+        return columns.tolist(), self.prefix.take(columns, axis=1), upto, within
 
     def _top_counts(self, first, last, lo, hi) -> tuple[np.ndarray, int] | None:
         """The top block's window counts inside one :meth:`slices` cell, in

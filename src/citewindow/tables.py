@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 
 from . import aging as _aging
@@ -151,6 +152,8 @@ def aging_output(
     recent = corpus._totals(ref_year, since=ref_year - 1) > 0
     ids = corpus._ids
     no_windows = ["" for _ in quantiles]
+    # One string per distinct year, age, total and window; only the rank is new per row.
+    text = cache(str)
     rows = []
     for rank, (i, total, year, t_q, cited) in enumerate(
         zip(
@@ -166,10 +169,10 @@ def aging_output(
             (
                 str(rank),
                 ids[i],
-                str(year),
-                str(ref_year - year),
-                str(total),
-                *([str(t) for t in t_q] if total > 0 else no_windows),
+                text(year),
+                text(ref_year - year),
+                text(total),
+                *(map(text, t_q) if total > 0 else no_windows),
                 "1" if cited else "0",
             )
         )

@@ -330,14 +330,17 @@ def brute_force_value(counts) -> IndexValue:
 
 
 class TestCountCacheDtype:
-    """The count cache is int32 exactly while every paper's total fits in it."""
+    """The count cache takes the narrowest of int16, int32 and int64 that
+    holds every paper's total."""
 
     @staticmethod
     def corpus(top: int):
+        # ``near`` totals the largest value of the dtype below the one ``top`` needs.
+        half = 2**14 if top <= 2**15 else 2**30
         return validate_corpus(
             [
-                PaperRecord("big", 2000, {2000: 2**30, 2001: top - 2**30}),
-                PaperRecord("near", 2001, {2001: 2**30, 2003: 2**30 - 1}),
+                PaperRecord("big", 2000, {2000: half, 2001: top - half}),
+                PaperRecord("near", 2001, {2001: half, 2003: half - 1}),
                 PaperRecord("b", 2000, {2001: 3, 2003: 2}),
                 PaperRecord("c", 2001, {2002: 4}),
                 PaperRecord("d", 2002, {2002: 1, 2004: 2}),
@@ -353,7 +356,9 @@ class TestCountCacheDtype:
         ]
 
     @pytest.mark.parametrize(
-        "top, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)], ids=["int32", "int64"]
+        "top, dtype",
+        [(2**15 - 1, np.int16), (2**15, np.int32), (2**31 - 1, np.int32), (2**31, np.int64)],
+        ids=["int16", "int32-above-int16", "int32", "int64"],
     )
     def test_matches_brute_force_on_both_sides(self, top, dtype):
         corpus = self.corpus(top)
@@ -474,6 +479,9 @@ class TestTopBlock:
             columns, block, upto, within = top
             assert block[-1].tolist() == [16, 17, 14, 15]
             assert block.tolist() == corpus._dense.prefix[:, columns].tolist()
+            # Row-major, so a cell reads two contiguous rows of it.
+            assert block.flags.c_contiguous
+            assert block.dtype == corpus._dense.prefix.dtype == np.int16
             assert upto == within == [0, 13]
 
     def test_bounds_per_prefix_row(self):
@@ -518,9 +526,13 @@ class TestTopBlock:
         lights = [PaperRecord(f"light{i:02d}", 2000 + i % 5, {2011: light}) for i in range(13)]
         return validate_corpus(top + [old] + lights)
 
-    @pytest.mark.parametrize("big", [90, 2**31 - 1], ids=["int32", "int64"])
+    @pytest.mark.parametrize(
+        "big, dtype",
+        [(90, np.int16), (2**14, np.int32), (2**31 - 1, np.int64)],
+        ids=["int16", "int32", "int64"],
+    )
     @pytest.mark.parametrize("light, settles", [(1, True), (2, True), (3, False)])
-    def test_window_bound_settles_what_the_lifetime_bound_hands_on(self, light, settles, big):
+    def test_window_bound_settles_what_the_lifetime_bound_hands_on(self, light, settles, big, dtype):
         # light == 2: the block's 4th entry equals the window bound exactly.
         corpus = self.old_and_light(light, big)
         pub, cite = YearWindow.through(2011), YearWindow(2011, 2011)
@@ -529,7 +541,8 @@ class TestTopBlock:
             dense = corpus._dense
             row, bound = dense._top_counts(*dense.slices(None, 2011, 2011, 2011))
             upto = dense._top[2]
-        assert dense.prefix.dtype == (np.int32 if big == 90 else np.int64)
+        assert dense.prefix.dtype == dtype
+        assert dense._top[1].dtype == dtype and dense._top[1].flags.c_contiguous
         assert (row.tolist(), bound) == ([5, 5, 3, 2], light)
         # The old paper's lifetime total would hand the cell on.
         assert row.item(3) < upto[-1] == 2 * big - 1
@@ -600,7 +613,7 @@ class TestTopBlock:
         with self.shrunk(4) as tally:
             self.check(corpus, np.random.default_rng(11))
             columns, block, upto, within = corpus._dense._top
-        assert block.dtype == np.int64
+        assert block.dtype == np.int64 and block.flags.c_contiguous
         assert block[-1].max() == 2 * big
         assert tally["settled"] > 0 and tally["whole"] > 0
 
