@@ -20,11 +20,11 @@ with a located error.  The bounds keep every citation sum inside int64,
 and four-digit year keys sort as their numbers do.
 
 Both parsers work a column at a time.  A file becomes numpy columns of
-paper index, year and count, which are checked in bulk, ranges included
-(int64 from a CSV pair; a JSON document gives int16 years and int32
-counts, and each paper's number of rows).  A JSON document is read in
-pieces of about ``_PIECE_CHARS`` (1 Mi) characters, cut between papers,
-so only one piece's tree of Python objects is alive at a time.
+paper index, year and count, which are checked in bulk, ranges included,
+and then handed to the store build narrow: int32 paper indices, int16
+years and int32 counts.  A JSON document is read in pieces of about
+``_PIECE_CHARS`` (1 Mi) bytes, cut between papers, and only one piece is
+alive at a time, decoded and as a tree of Python objects.
 This column path only accepts or rejects.  On a reject the parser reads
 its input again row by row (``_located_csv``, ``_located_json``), and
 that reader alone reports the first failure in file order, papers before
@@ -94,8 +94,9 @@ _PAPERS_HEADERS = (PAPERS_HEADER, PAPERS_HEADER[:2])
 # peak memory of a CSV parse.
 _BLOCK_CHARS = 1 << 16
 _BLOCK_ROWS = 4096
-# The JSON parser reads its array in pieces of about _PIECE_CHARS
-# characters, cut at a _PIECE_CUT match (see parse_corpus_json).
+# The JSON parser reads its array in pieces of about _PIECE_CHARS bytes
+# (characters of text input), cut at a _PIECE_CUT match (see
+# parse_corpus_json); bytes are searched with the pattern's bytes form.
 _PIECE_CHARS = 1 << 20
 _PIECE_CUT = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{")
 
@@ -331,12 +332,12 @@ def _csv_columns(papers: bytes | str, citations: bytes | str) -> tuple:
         pub_years.append(pub_year)
         titles += [title or None for title in title_cells[0]] if title_cells else [None] * len(texts)
 
-    parts = [[np.empty(0, np.int64)] * 3]
+    parts = [(np.empty(0, np.int32), np.empty(0, np.int16), np.empty(0, np.int32))]
     for (texts, lengths), (year, count) in _csv_blocks(citations, "citations", (CITATIONS_HEADER,), (1, 2)):
-        paper = np.repeat(np.fromiter(map(index.get, texts, repeat(-1)), np.int64, len(texts)), lengths)
+        paper = np.repeat(np.fromiter(map(index.get, texts, repeat(-1)), np.int32, len(texts)), lengths)
         if paper.min() < 0 or not (_in_range(year, _YEAR_MIN, _YEAR_MAX) and _in_range(count, 1, _MAX_COUNT)):
             raise _Rejected
-        parts.append((paper, year, count))
+        parts.append((paper, year.astype(np.int16), count.astype(np.int32)))
     return list(index), np.concatenate(pub_years), titles, *map(np.concatenate, zip(*parts))
 
 
@@ -399,52 +400,55 @@ def parse_corpus_json(stream, opts: IngestOptions | None = None) -> Corpus:
     violations (absent means zero).  Years must lie in 1000..9999, with
     year keys written as plain ASCII digits, and counts in 1..2**31 - 1.
 
-    The array is read in pieces of about ``_PIECE_CHARS`` characters,
-    each cut where the text has '}', ',' and '{' with only whitespace
-    between them, and parsed as an array of its own.  Pieces that each
-    parse join at those commas into the document, so together they hold
-    its papers.  Each piece's tree, several times the size of its text,
-    is checked a column at a time and freed before the next piece is
-    read.  Only its ids and titles are copied out, as one joined text
-    each (see :func:`_json_columns`): were a tree's own strings kept, they
-    would pin its memory arenas, and the next trees and the store build
-    would be allocated around them.  So ``json.loads`` never holds a tree of
-    the whole document, and the parse peaks after the pieces are read:
-    while their columns are joined, with the document's text still held
-    for the row reader, or in the store build, once that text is freed.
+    The array is read in pieces of about ``_PIECE_CHARS`` bytes (or
+    characters, of text input), each cut where the input has '}', ',' and
+    '{' with only whitespace between them, then decoded and parsed as an
+    array of its own.  The cut is ASCII, so it never splits a UTF-8
+    sequence.  Pieces that each parse join at those commas into the
+    document, so together they hold its papers.  Each piece's tree,
+    several times the size of its text, is checked a column at a time and
+    freed before the next piece is read.  Only its ids and titles are
+    copied out, as one joined text each (see :func:`_json_columns`): were
+    a tree's own strings kept, they would pin its memory arenas, and the
+    next trees and the store build would be allocated around them.  So
+    neither a decoded copy of the whole document nor a tree of it is ever
+    built, and the parse peaks in the store build, beside the input and
+    the columns.
 
     Anything a piece cannot settle sends the whole document to the row
-    reader: a piece that is not valid JSON, a top level that is not an
-    array, a rule broken, or an id repeated across pieces.  So is a
-    document whose cut lands inside a string, such as a title holding
-    "}, {": that piece does not parse.  It is read slower, with the same
-    result.
+    reader, which decodes it whole: a piece that is not UTF-8 or not
+    valid JSON, a top level that is not an array, a rule broken, or an id
+    repeated across pieces.  So is a document whose cut lands inside a
+    string, such as a title holding "}, {": that piece does not parse.
+    It is read slower, with the same result.
     """
     opts = opts or IngestOptions()
-    text = _decode(_content(stream), "corpus")
-    columns = _json_pieces(text)
+    data = _content(stream)
+    columns = _json_pieces(data)
     if columns is None:
-        return _located_json(_json_document(text), opts)
-    del text
+        return _located_json(_json_document(_decode(data, "corpus")), opts)
     # The checks leave no repeated row, so the store build cannot reject.
     return _corpus_from_rows(*columns, opts.lenient_clamp)
 
 
-def _json_pieces(text: str) -> tuple | None:
-    """The store build's arguments from the JSON document ``text``, its
-    lenient flag aside, or None when a piece of it is not an array that
-    passes :func:`_json_columns` or an id repeats across pieces."""
+def _json_pieces(data: bytes | str) -> tuple | None:
+    """The store build's arguments from the JSON document ``data``, its
+    lenient flag aside, or None when a piece of it is not UTF-8, or not an
+    array that passes :func:`_json_columns`, or an id repeats across pieces."""
+    pattern = _PIECE_CUT.pattern
+    search = re.compile(pattern.encode() if isinstance(data, bytes) else pattern).search
     parts, start = [], 0
     while start is not None:
-        cut = _PIECE_CUT.search(text, start + _PIECE_CHARS)
+        cut = search(data, start + _PIECE_CHARS)
         end = cut.start() + 1 if cut else None
         # The first piece holds the document's '[', the last its ']'.
         try:
-            data = _json_document(("[" if start else "") + text[start:end] + ("]" if cut else ""))
+            piece = _decode(data[start:end], "corpus")
+            piece = _json_document(("[" if start else "") + piece + ("]" if cut else ""))
         except IngestError:
             return None
-        parts.append(_json_columns(data))
-        del data  # so that no two trees are alive at once
+        parts.append(_json_columns(piece))
+        del piece  # so that no two trees are alive at once
         if parts[-1] is None:
             return None
         start = cut and cut.end() - 1
@@ -455,7 +459,7 @@ def _json_pieces(text: str) -> tuple | None:
     present = iter([title for part in present for title in _split(part)])
     titles = [None if null else next(present) for part in nulls for null in part]
     pub_years, lengths, years, counts = map(np.concatenate, (pub_years, lengths, years, counts))
-    return ids, pub_years, titles, np.repeat(np.arange(len(lengths)), lengths), years, counts
+    return ids, pub_years, titles, np.repeat(np.arange(len(lengths), dtype=np.int32), lengths), years, counts
 
 
 def _json_document(text: str) -> list:
@@ -495,10 +499,10 @@ def _json_columns(data: list) -> tuple | None:
     Nothing returned refers to an object of ``data``, so freeing it frees
     the whole tree.  The ids and the non-null titles come as copies made
     by :func:`_joined`, ``nulls`` tells for each paper whether its title
-    is null, and the other columns are numpy arrays: ``lengths`` holds
-    each paper's number of citation rows, and ``years`` (int16) and
-    ``counts`` (int32) the rows in document order.  No dict of the ids is
-    built, since it would hold the tree's strings.
+    is null, and the other columns are numpy arrays: ``pub_years``
+    (int16), ``lengths``, each paper's number of citation rows, and
+    ``years`` (int16) and ``counts`` (int32), the rows in document order.
+    No dict of the ids is built, since it would hold the tree's strings.
     """
     if set(map(type, data)) - {dict} or set().union(*data) - _JSON_KEYS:
         return None
@@ -533,7 +537,7 @@ def _json_columns(data: list) -> tuple | None:
     lengths = np.fromiter(map(len, citations), np.int64, len(data))
     nulls = [title is None for title in titles]
     present = _joined([title for title in titles if title is not None])
-    return _joined(ids), np.array(pub_years, dtype=np.int64), present, nulls, lengths, years, counts.astype(np.int32)
+    return _joined(ids), np.array(pub_years, dtype=np.int16), present, nulls, lengths, years, counts.astype(np.int32)
 
 
 def _joined(texts: list[str]) -> str | list[str]:

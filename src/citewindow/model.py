@@ -2,10 +2,11 @@
 
 A :class:`Corpus` is a columnar store.  Papers sit in id order: one id,
 publication year and title each, and paper i's citations are the rows
-``offsets[i]:offsets[i + 1]`` of two flat int64 arrays, ``years`` and
-``counts``, sorted by year.  Citation data is sparse: a row exists only
-for a year with a positive count, and an absent year means zero.  The
-analyses in :mod:`indices` and :mod:`aging` are passes over these arrays.
+``offsets[i]:offsets[i + 1]`` of two flat arrays, ``years`` (int16) and
+``counts`` (int32), sorted by year.  Citation data is sparse: a row
+exists only for a year with a positive count, and an absent year means
+zero.  The analyses in :mod:`indices` and :mod:`aging` are passes over
+these arrays.
 
 :class:`PaperRecord` is the one-object-per-paper view.  ``Corpus(records)``
 and :func:`validate_corpus` check records and turn them into columns;
@@ -15,9 +16,14 @@ after construction; a :class:`Corpus` can be shared freely between
 threads or workers.
 
 In a validated corpus, years lie in 1000..9999 and counts in
-1..2**31 - 1, so no per-paper or per-window sum can overflow int64.  The
-count cache holds int16 or int32 sums instead whenever every paper's
-total fits (see :class:`_DenseCounts`).
+1..2**31 - 1, so no per-paper or per-window sum can overflow int64, and
+every sum over rows accumulates in int64.  Counts are int64 only in a
+corpus where a lenient merge summed one past 2**31 - 1: the dtype follows
+the values, so equal corpora hash equal.  Publication years and offsets
+stay int64, as do the ages computed from them, which
+:func:`~citewindow.indices.contemporary_h` raises to powers up to 100.
+The count cache holds int16 or int32 sums whenever every paper's total
+fits (see :class:`_DenseCounts`).
 
 Each rule is checked once, where the data enters: :func:`validate_corpus`
 checks records and the parsers in :mod:`citewindow.ingest` check files.
@@ -188,8 +194,8 @@ def _segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return running[offsets[1:]] - running[offsets[:-1]]
 
 
-def _frozen(values) -> np.ndarray:
-    array = np.asarray(values, dtype=np.int64)
+def _frozen(values, dtype=np.int64) -> np.ndarray:
+    array = np.asarray(values, dtype=dtype)
     array.flags.writeable = False
     return array
 
@@ -244,9 +250,9 @@ class _DenseCounts:
         # cannot split the free heap it would otherwise reuse.
         self.prefix = np.zeros((np.count_nonzero(present) + 1, len(corpus)), dtype=dtype)
         order = np.argsort(corpus._pub_year, kind="stable")
-        column = np.empty_like(order)
+        column = np.empty(order.size, dtype=np.int32)
         column[order] = np.arange(order.size)
-        years, rank = np.flatnonzero(present), np.cumsum(present)
+        years, rank = np.flatnonzero(present), np.cumsum(present, dtype=np.int16)
         self.prefix[rank[corpus._years], column[corpus._row_paper]] = corpus._counts
         np.cumsum(self.prefix, axis=0, dtype=dtype, out=self.prefix)
         # Lists, because bisect on them is much cheaper per query than np.searchsorted.
@@ -351,8 +357,8 @@ class Corpus:
         self._ids = tuple(ids)
         self._pub_year = _frozen(pub_year)
         self._offsets = _frozen(offsets)
-        self._years = _frozen(years)
-        self._counts = _frozen(counts)
+        self._years = _frozen(years, np.int16)
+        self._counts = _frozen(counts, counts.dtype)
         self._titles = tuple(titles)
 
     def _columns(self) -> tuple:
@@ -405,7 +411,7 @@ class Corpus:
     @cached_property
     def _row_paper(self) -> np.ndarray:
         """Paper index of every citation row."""
-        return np.repeat(np.arange(len(self._ids)), np.diff(self._offsets))
+        return np.repeat(np.arange(len(self._ids), dtype=np.int32), np.diff(self._offsets))
 
     def _totals(self, ref_year: int | None = None, since: int | None = None) -> np.ndarray:
         """Per-paper citations in the years ``since..ref_year``, in id order.
@@ -451,24 +457,30 @@ def _corpus_from_rows(ids, pub_year, titles, row_paper, years, counts, lenient=F
     no dict of them: a JSON parse hands over copies of its ids and titles
     after freeing the document, and a dict would only hold them again.
     Every year and count is already in range: :func:`validate_corpus`
-    checks records and the parsers check files.  So years are read as
-    int16 and counts as int32, which a JSON parse hands over as they are,
-    and each int64 column per row is built in place or freed once used,
-    to keep the build's peak low.  This build checks only
-    two rules, which the parsers leave to it.  A repeated (paper, year)
-    row raises :class:`_Rejected`, and the CSV parser then reads its files
-    again row by row to locate the first repeat.  A citation before
-    publication raises :class:`CitationBeforePublicationError` for the
-    first such paper in input order, at its earliest early year; with
-    ``lenient`` those citations move to the publication year instead and
-    merge with the rows already there.
+    checks records and the parsers check files.  So publication and
+    citation years are read as int16, and counts and row positions as
+    int32, the types the parsers hand over (a CSV pair's publication years
+    aside).  To keep the build's peak low, the ids and titles are put in
+    id order before any column per row is built, and the sort keys, the
+    one int64 column per row beside their stable order, are sorted in
+    place.  This build checks only two rules, which the parsers leave to
+    it.  A repeated (paper, year) row raises :class:`_Rejected`, and the
+    CSV parser then reads its files again row by row to locate the first
+    repeat.  A citation before publication raises
+    :class:`CitationBeforePublicationError` for the first such paper in
+    input order, at its earliest early year; with ``lenient`` those
+    citations move to the publication year instead and merge with the
+    rows already there.
     """
-    pub_year = np.asarray(pub_year, dtype=np.int64)
-    row_paper = np.asarray(row_paper, dtype=np.int64)
+    pub_year = np.asarray(pub_year, dtype=np.int16)
+    row_paper = np.asarray(row_paper, dtype=np.int32)
     years = np.asarray(years, dtype=np.int16)
     counts = np.asarray(counts, dtype=np.int32)
     positions = sorted(range(len(ids)), key=ids.__getitem__)
     id_order = np.array(positions, dtype=np.int64)
+    # Gathered first, so that the positions' int objects are freed early.
+    sorted_ids, sorted_titles = (tuple(map(column.__getitem__, positions)) for column in (ids, titles))
+    del positions
     rank = np.empty(len(ids), dtype=np.int64)
     rank[id_order] = np.arange(len(ids))
     # Years lie in 1000..9999, below 2**14, so rank and year share one key,
@@ -477,7 +489,7 @@ def _corpus_from_rows(ids, pub_year, titles, row_paper, years, counts, lenient=F
     keys <<= 14
     keys |= years
     order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+    keys.sort()
     if (keys[1:] == keys[:-1]).any():
         raise _Rejected
 
@@ -487,6 +499,8 @@ def _corpus_from_rows(ids, pub_year, titles, row_paper, years, counts, lenient=F
         np.maximum(keys, keys >> 14 << 14 | pub_year[row_paper[order]], out=keys)
         starts = np.flatnonzero(np.diff(keys, prepend=-1))
         counts = np.add.reduceat(counts[order], starts, dtype=np.int64) if starts.size else counts[order]
+        # Counts stay int32 unless a merged one passes 2**31 - 1.
+        counts = counts.astype(np.int32 if counts.max(initial=0) <= _MAX_COUNT else np.int64, copy=False)
         keys = keys[starts]
     else:
         early = years < pub_year[row_paper]
@@ -499,14 +513,7 @@ def _corpus_from_rows(ids, pub_year, titles, row_paper, years, counts, lenient=F
     # Paper r's rows are the keys in [r << 14, (r + 1) << 14).
     offsets = np.searchsorted(keys, np.arange(len(ids) + 1) << 14)
     keys &= (1 << 14) - 1
-    return Corpus._from_columns(
-        map(ids.__getitem__, positions),
-        pub_year[id_order],
-        offsets,
-        keys,
-        counts,
-        map(titles.__getitem__, positions),
-    )
+    return Corpus._from_columns(sorted_ids, pub_year[id_order], offsets, keys, counts, sorted_titles)
 
 
 def validate_corpus(papers: Iterable[PaperRecord]) -> Corpus:

@@ -34,6 +34,31 @@ def random_corpus(rng, max_papers=200, max_career=40, max_count=50, with_titles=
     return validate_corpus(papers)
 
 
+def workload_corpus(seed, papers, classics=0) -> Corpus:
+    """Seeded corpus shaped like the benchmark's: ``papers`` published over
+    1985..2024, a few more each year, each cited around a heavy-tailed
+    lifetime rate spread over an aging profile that peaks a few years after
+    publication, and about a third never cited; plus up to five
+    ``classics``, centuries-old papers cited in every year of that span."""
+    rng = np.random.default_rng(seed)
+    years = np.arange(1985, 2025)
+    growth = np.exp(0.04 * (years - 1985))
+    pub = rng.choice(years, size=papers, p=growth / growth.sum())
+    ages = np.arange(years.size)
+    profile = (ages + 1) * np.exp(-ages / 3.5)
+    rate = np.minimum(30 * rng.pareto(1.7, papers), 20_000)
+    rate[rng.random(papers) < 0.3] = 0
+    counts = rng.poisson(rate[:, None] * profile / profile[:12].sum())
+    counts[ages > (2024 - pub)[:, None]] = 0
+    records = [
+        PaperRecord(f"P{i:06d}", p, {p + age: c for age, c in enumerate(row) if c}, TITLE_POOL[i % len(TITLE_POOL)])
+        for i, (p, row) in enumerate(zip(pub.tolist(), counts.tolist()))
+    ]
+    for k, year in enumerate((1687, 1736, 1798, 1859, 1905)[:classics]):
+        records.append(PaperRecord(f"C{k}", year, {year + 1: 3, **dict.fromkeys(years.tolist(), 25)}))
+    return validate_corpus(records)
+
+
 def random_window(rng, corpus: Corpus, unbounded_p=0.25) -> YearWindow:
     """Random window overlapping (or slightly missing) the corpus span."""
     lo = corpus.y0 - 3

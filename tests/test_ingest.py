@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from citewindow import (
     CitationBeforePublicationError,
+    Corpus,
     DuplicateIdError,
     DuplicateYearRowError,
     IngestError,
@@ -41,7 +42,7 @@ from citewindow import ingest
 from citewindow.model import _Rejected
 from citewindow.tables import OutputTable
 import ingest_reference
-from helpers import random_corpus
+from helpers import random_corpus, workload_corpus
 from test_golden import GOLDEN, ingest_errors
 
 PAPERS_CSV = b"paper_id,pub_year,title\nP1,2000,\nP2,2001,\n"
@@ -413,6 +414,64 @@ class TestStrictIntegers:
         # Clamped rows merge into one count above the bound, summed in int64.
         doc = json_doc(citations=f'{{"1998": {MAX_COUNT}, "1999": {MAX_COUNT}}}')
         assert parse_corpus_json(doc, IngestOptions(lenient_clamp=True)).by_id["P"].citations == ((2000, 2 * MAX_COUNT),)
+
+
+class TestNarrowColumns:
+    """Every way in stores the same columns: int16 years, int32 row papers,
+    and counts in int32 unless a lenient merge sums one past 2**31 - 1.  The
+    dtype follows the values, so equal corpora compare and hash equal."""
+
+    RECORDS = [PaperRecord("B", 1999, {1999: 3, 2001: MAX_COUNT}, "t"), PaperRecord("A", 1000, {1000: 1, 9999: 2})]
+    # B's rows before 1999 move to 1999 under --lenient and merge with its own.
+    EARLY = {"B": {"1997": 1, "1999": 2, "2001": MAX_COUNT}, "A": {"1000": 1, "9999": 2}}
+    # Two rows at the bound merge into one count of 2 * (2**31 - 1).
+    ABOVE = {"B": {"1997": MAX_COUNT, "1998": MAX_COUNT}, "A": {"1000": 1}}
+
+    @staticmethod
+    def json_doc(citations: dict) -> bytes:
+        papers = {"B": {"pub_year": 1999, "title": "t"}, "A": {"pub_year": 1000}}
+        return json.dumps([{"id": pid, **papers[pid], "citations": cites} for pid, cites in citations.items()]).encode()
+
+    @staticmethod
+    def csv_pair(citations: dict) -> tuple[bytes, bytes]:
+        rows = "".join(f"{pid},{year},{count}\n" for pid, cites in citations.items() for year, count in cites.items())
+        return csv_pair("B,1999,t\nA,1000,\n", rows)
+
+    @staticmethod
+    def assert_dtypes(corpus, counts):
+        assert corpus._years.dtype == np.int16
+        assert corpus._row_paper.dtype == np.int32
+        assert corpus._counts.dtype == counts
+        assert corpus._pub_year.dtype == corpus._offsets.dtype == np.int64
+
+    def test_five_ways_in(self):
+        corpus = validate_corpus(self.RECORDS)
+        lenient = IngestOptions(lenient_clamp=True)
+        early = self.json_doc(self.EARLY)
+        assert parse_corpus_json(early, lenient).by_id["B"].citations == ((1999, 3), (2001, MAX_COUNT))
+        built = [
+            Corpus(self.RECORDS),
+            parse_corpus_csv(*export_corpus_csv(corpus)),
+            parse_corpus_json(export_corpus_json(corpus)),
+            parse_corpus_json(early, lenient),
+            parse_corpus_csv(*self.csv_pair(self.EARLY), lenient),
+        ]
+        for other in [corpus, *built]:
+            assert other == corpus and hash(other) == hash(corpus)
+            self.assert_dtypes(other, np.int32)
+
+    def test_a_lenient_merge_past_the_bound_keeps_int64_counts(self):
+        lenient = IngestOptions(lenient_clamp=True)
+        merged = parse_corpus_json(self.json_doc(self.ABOVE), lenient)
+        assert merged.by_id["B"].citations == ((1999, 2 * MAX_COUNT),)
+        self.assert_dtypes(merged, np.int64)
+        again = parse_corpus_csv(*self.csv_pair(self.ABOVE), lenient)
+        assert again == merged and hash(again) == hash(merged)
+        self.assert_dtypes(again, np.int64)
+        # The same corpus without the merge is int32 throughout.
+        below = parse_corpus_json(self.json_doc({"B": {"1999": MAX_COUNT}, "A": {"1000": 1}}))
+        self.assert_dtypes(below, np.int32)
+        assert below != merged
 
 
 def csv_pair(papers: str, citations: str) -> tuple[bytes, bytes]:
@@ -835,13 +894,14 @@ class TestColumnPathAcceptsValidInput:
 
 
 # tracemalloc peak over input bytes, on a seeded corpus of 18 899 papers and
-# 174 859 citation rows with titles.  The bounds are the measured peaks (4.48
-# for the CSV pair, 2.45 for JSON) plus 10 %, as the row-by-row parsers' were
-# (11.5 and 7.0).  Parsing the JSON document as one tree measured 3.51, a
-# store build that widened its columns first 5.72 for the CSV pair, and
-# splitting a whole CSV file at once instead of in blocks 22.6.
-CSV_PEAK_PER_INPUT_BYTE = 4.9
-JSON_PEAK_PER_INPUT_BYTE = 2.7
+# 174 859 citation rows with titles.  The bounds are the measured peaks (2.90
+# for the CSV pair, 1.69 for JSON) plus 10 %, as the row-by-row parsers' were
+# (11.5 and 7.0).  With int64 columns in the corpus and the store build they
+# measured 4.48 and 2.45.  Parsing the JSON document as one tree measured
+# 3.51, a store build that widened its columns first 5.72 for the CSV pair,
+# and splitting a whole CSV file at once instead of in blocks 22.6.
+CSV_PEAK_PER_INPUT_BYTE = 3.2
+JSON_PEAK_PER_INPUT_BYTE = 1.9
 # tracemalloc peak of the JSON column stage over one piece already parsed,
 # per character of that piece: 1.37 measured, with flat lists of the
 # piece's year keys and counts.  It follows the piece, not the document.
@@ -927,6 +987,49 @@ print(resident() - before)
         assert growth("corpus.json") <= growth("papers.csv", "citations.csv")
 
 
+# tracemalloc peak of a parse plus the first window query, which builds the
+# count cache, on corpora shaped like the benchmark's (helpers.workload_corpus).
+# From 2 x 10^4 papers up it measured 58 to 60 bytes per citation row or
+# paper, in both formats and at 10^5 papers too.  Smaller inputs add what
+# does not grow with them: the tree of one JSON piece of about 1 Mi
+# characters, up to 3 MiB over the rows' share for a document of about one
+# piece (8 000 papers), and each CSV block's cells.
+FIRST_QUERY_PEAK_PER_ROW_OR_PAPER = 64
+FIRST_QUERY_PEAK_FIXED = 4 << 20
+
+
+class TestFirstQueryMemory:
+    """Memory follows the input: a parse plus the first window query peaks
+    within a constant per citation row or paper, plus a fixed allowance."""
+
+    @pytest.mark.parametrize(
+        "papers, classics, layout",
+        [
+            (24_000, 0, "json"),  # window_sweep: 10^5 papers in JSON
+            (8_000, 0, "json"),  # a JSON document of about one piece
+            (16_000, 5, "csv"),  # database_cli: 5 x 10^4 papers and five classics
+            (16_000, 5, "json"),
+            (1_000, 0, "json"),  # author_batch: 10 to 1 000 papers in JSON
+            (10, 0, "json"),
+        ],
+    )
+    def test_peak_follows_rows_and_papers(self, papers, classics, layout):
+        corpus = workload_corpus(11, papers, classics)
+        if layout == "csv":
+            files, parse = export_corpus_csv(corpus), parse_corpus_csv
+        else:
+            files, parse = (compact_json(corpus.papers),), parse_corpus_json
+        window = YearWindow.through(2024)
+        tracemalloc.start()
+        try:
+            windowed_h(parse(*files), window, window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows_and_papers = corpus._counts.size + len(corpus)
+        assert peak < FIRST_QUERY_PEAK_PER_ROW_OR_PAPER * rows_and_papers + FIRST_QUERY_PEAK_FIXED
+
+
 # A piece size below any paper's length, so that each paper is its own piece.
 SMALL_PIECES = 30
 
@@ -965,6 +1068,22 @@ class TestJsonPieces:
             with mock.patch.multiple(ingest, _PIECE_CHARS=SMALL_PIECES, _json_columns=columns, _located_json=refuse):
                 assert parse_corpus_json(doc) == corpus
             assert columns.call_count == len(corpus)
+
+    @pytest.mark.parametrize("chars", [1, 2, 3, SMALL_PIECES])
+    def test_pieces_are_cut_from_the_bytes_and_decoded_alone(self, chars):
+        # A search that starts inside a multi-byte character still cuts only
+        # at ASCII; bytes that are not UTF-8 send the document to the row
+        # reader, which reports them as it reports a document of one piece.
+        papers = [PaperRecord(pid, 2000, {2001: 1}, title="é\U0001f600") for pid in ("é", "中", "z")]
+        doc = compact_json(papers)
+        refuse = mock.Mock(side_effect=AssertionError("valid input took the row reader"))
+        with mock.patch.multiple(ingest, _PIECE_CHARS=chars, _located_json=refuse):
+            assert parse_corpus_json(doc) == validate_corpus(papers)
+        bad = doc.replace("中".encode(), b"\xff\xfe")
+        with mock.patch.object(ingest, "_PIECE_CHARS", chars):
+            result = outcome(parse_corpus_json, bad)
+        assert result == outcome(parse_corpus_json, bad) == outcome(ingest_reference.parse_json, bad)
+        assert result[0] == "ParseError" and "not valid UTF-8" in result[1]
 
     @pytest.mark.parametrize("title", ["}, {", "},{", '"}, {"'])
     def test_a_cut_inside_a_string_takes_the_row_reader(self, title):

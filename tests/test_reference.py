@@ -242,7 +242,30 @@ def near_tie_corpora(draw, gamma=3):
     return validate_corpus(papers)
 
 
+@st.composite
+def ancient_corpora(draw):
+    """(y, corpus): papers up to 9 000 years old in year y, the oldest
+    possible, some published after y, with small or bound-sized counts."""
+    y = draw(st.sampled_from([9999, 5000]) | st.integers(1000, 9999))
+    papers = []
+    for i in range(draw(st.integers(1, 8))):
+        pub = draw(st.sampled_from([1000, y]) | st.integers(1000, 9999))
+        years = draw(st.lists(st.integers(pub, 9999), max_size=3, unique=True))
+        counts = st.integers(1, 9) | st.just(2**31 - 1)
+        papers.append(PaperRecord(f"p{i}", pub, {year: draw(counts) for year in years}))
+    return y, validate_corpus(papers)
+
+
 class TestContemporaryH:
+    # ages**|delta| has 396 digits at age 9 000 and |delta| = 100, and at
+    # |delta| = 4 it still fits int64 but not int32: a narrow age would wrap.
+    @given(ancient_corpora(), st.sampled_from([1, 4, Fraction(7, 3)]), st.sampled_from([-100, -4, 4, 100]))
+    @settings(max_examples=150)
+    def test_old_papers_at_the_delta_bound(self, drawn, gamma, delta):
+        y, corpus = drawn
+        value = contemporary_h(corpus, y, gamma, delta, interpolated=True)
+        assert (value.h, value.h_interp) == reference_contemporary(corpus, y, gamma, delta)
+
     @given(near_tie_corpora())
     @settings(max_examples=200)
     def test_near_ties_match_exact_scores(self, corpus):
