@@ -14,27 +14,30 @@ stays within a few thousand entries; a wider cell is a chunk of its own.
 A chunk costs one prefix-row subtraction over its combined slice, a mask
 that zeroes each cell's columns outside its own slice, and one row-wise
 sort.  The zeros sort last, so they change neither h nor the
-interpolation.  A single query is a one-cell chunk, and a whole evolution
-table for an author-sized corpus is a handful of chunks.
+interpolation.  A whole evolution table for an author-sized corpus is a
+handful of chunks.  A single query skips the chunk plan: it maps its
+window to its cell and reads h, c(h) and c(h + 1) through
+``_cell_values``, the routine that also serves the grid's one-cell chunks.
 
-A one-cell chunk wider than the cache's top block (the papers with the
-largest lifetime totals, on corpora of more than 4 x 4096 papers) first
-sorts only the block's columns inside its slice.  The cache also bounds
-what any paper outside the block can count in the cell's citation years:
-no more than the largest total any of them has up to the last of those
-years, and no more than the sum, over those years, of the largest
-single-year count among them.  Each holds for every such paper, since
-its window count is its total up to the window's end less its total
-before the window, and also the sum of its own counts in the window's
-years; so ``bound``, the smaller of the two, holds as well.  It is never
-looser than the largest lifetime total outside the block, and for a short
-or early window it is usually much tighter.  The block's h, c(h) and
-c(h + 1) are then the slice's own when ``bound`` is 0 (every other count
-is 0 and sorts last), or when the block's sorted counts have an
-(h + 1)-th entry of at least ``bound``: its first h + 1 entries then lead
-the whole slice, and c(h + 1) < h + 1.  Otherwise the cell sorts its
-whole slice.  Wide cells on large corpora usually have an h in the
-hundreds and tens of thousands of columns, so nearly all settle.
+A cell read alone (a single query or a one-cell chunk) that is wider
+than the cache's top block (the papers with the largest lifetime totals,
+on corpora of more than 4 x 4096 papers) first sorts only the block's
+columns inside its slice.  The cache also bounds what any paper outside
+the block can count in the cell's citation years: no more than the
+largest total any of them has up to the last of those years, and no more
+than the sum, over those years, of the largest single-year count among
+them.  Each holds for every such paper, since its window count is its
+total up to the window's end less its total before the window, and also
+the sum of its own counts in the window's years; so ``bound``, the
+smaller of the two, holds as well.  It is never looser than the largest
+lifetime total outside the block, and for a short or early window it is
+usually much tighter.  The block's h, c(h) and c(h + 1) are then the
+slice's own when ``bound`` is 0 (every other count is 0 and sorts last),
+or when the block's sorted counts have an (h + 1)-th entry of at least
+``bound``: its first h + 1 entries then lead the whole slice, and
+c(h + 1) < h + 1.  Otherwise the cell sorts its whole slice.  Wide cells
+on large corpora usually have an h in the hundreds and tens of thousands
+of columns, so nearly all settle.
 
 Only the cache, ``model._DenseCounts``, reads its prefix rows: this
 module plans the chunks and asks it for one cell's sorted counts
@@ -42,20 +45,23 @@ module plans the chunks and asks it for one cell's sorted counts
 masked, row-sorted block (``_chunk_counts``).  An empty corpus has a
 1 x 0 cache, so every window over it selects no paper and gives h = 0.
 
-h is read from the sorted chunk by bound and count.  The column-wise
-maximum of the descending rows is itself non-increasing and lies above
-every row, so its h, found by bisection, is a bound K on every row's h.
-Within a row, c(i) >= i holds on a prefix of the ranks, so one count of
-c(i) >= i over the first K ranks gives the h of every row at once, and
-one fancy index reads c(h) and c(h + 1).  A one-cell chunk's bound is its
-own h, so it skips the count.  The kernel hands back plain integers;
-callers build ``IndexValue``s from them, or render the interpolation
-(c(h) + h·d) / (1 + d), d = c(h) - c(h + 1), without a Fraction.
+Every h in this module, of a cell, a chunk's bound, a ranked vector or
+the age-discounted scores, comes from one routine, ``_h_index``: c(k) >= k
+holds on a prefix of the ranks, so a plain bisection loop over the ranks
+finds h in about log2(n) reads.  A multi-cell chunk's h is read by bound
+and count.  The column-wise maximum of the descending rows is itself
+non-increasing and lies above every row, so its h is a bound K on every
+row's h.  Within a row, c(i) >= i holds on a prefix of the ranks, so one
+count of c(i) >= i over the first K ranks gives the h of every row at
+once, and one fancy index reads c(h) and c(h + 1).  A cell read alone
+needs no bound: its h comes straight from its row.  The kernel hands back
+plain integers; callers build ``IndexValue``s from them, or render the
+interpolation (c(h) + h·d) / (1 + d), d = c(h) - c(h + 1), without a
+Fraction.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -187,15 +193,23 @@ def _as_ranked(c) -> RankedCitations:
 
 
 def _h_index(ordered) -> int:
-    """h of a non-increasing sequence.
+    """h of a non-increasing sequence: the number of ranks k with c(k) >= k.
 
-    ``ordered`` is a numpy array or a sequence of ints or Fractions.  The
-    predicate c(i) >= i holds for a prefix of the ranks, so a bisection
-    finds h.
+    ``ordered`` is a numpy array (a descending view too) or a sequence of
+    ints or Fractions.  c(k) >= k holds on a prefix of the ranks, so a
+    bisection over the ranks finds where it stops.  The test is c(k) >= k
+    and not c(k) > k - 1, which differ for a Fraction between k - 1 and k.
     """
     # Numpy scalar comparisons are slow, so read Python ints from an array.
     at = ordered.item if isinstance(ordered, np.ndarray) else ordered.__getitem__
-    return bisect_left(range(len(ordered)), True, key=lambda k: at(k) < k + 1)
+    lo, hi = 0, len(ordered)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if at(mid) >= mid + 1:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def _crossing_terms(h: int, c_h, c_h1) -> tuple:
@@ -246,8 +260,9 @@ def windowed_h(
     :func:`h_from_ranked` (plus :func:`interpolate_h` when flagged);
     windows selecting nothing yield h = 0.
     """
-    window = (pub_window.start, pub_window.end, cite_window.start, cite_window.end)
-    return _index_values(_window_rows(corpus, [window]), interpolated)[0]
+    cell = corpus._dense.slices(pub_window.start, pub_window.end, cite_window.start, cite_window.end)
+    h, c_h, c_h1 = _cell_values(corpus._dense, cell)
+    return IndexValue(h, _crossing(h, c_h, c_h1)) if interpolated else IndexValue(h)
 
 
 def timed_h(corpus: Corpus, y: int, t: int, interpolated: bool = False) -> IndexValue:
@@ -325,6 +340,13 @@ def _cell_row(dense, cell) -> tuple[np.ndarray, int]:
     return row, _h_index(row)
 
 
+def _cell_values(dense, cell) -> tuple[int, int, int]:
+    """h, c(h) and c(h + 1) of one cell, as Python ints; c(0) and the
+    counts past the row's end read as 0."""
+    row, h = _cell_row(dense, cell)
+    return h, row.item(h - 1) if h else 0, row.item(h) if h < row.size else 0
+
+
 def _window_rows(corpus: Corpus, windows) -> tuple[list, list, list]:
     """h, c(h) and c(h + 1) of every (pub_start, pub_end, cite_start, cite_end)
     window, as three lists of Python ints.
@@ -338,10 +360,10 @@ def _window_rows(corpus: Corpus, windows) -> tuple[list, list, list]:
     for start, stop, first, last in _chunks(cells):
         if stop - start == 1:
             # One cell: its own slice, so no mask, and its bound is its h.
-            row, h = _cell_row(dense, cells[start])
+            h, c_h, c_h1 = _cell_values(dense, cells[start])
             hs.append(h)
-            c_hs.append(row.item(h - 1) if h else 0)
-            c_h1s.append(row.item(h) if h < row.size else 0)
+            c_hs.append(c_h)
+            c_h1s.append(c_h1)
         else:
             h, c_h, c_h1 = _chunk_rows(dense._chunk_counts(cells[start:stop], first, last))
             hs += h

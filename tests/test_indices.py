@@ -70,6 +70,69 @@ class TestHFromRanked:
             assert h <= values[0]
 
 
+@st.composite
+def boundary_fractions(draw, max_len=24, max_value=14):
+    """Non-increasing non-negative Fractions, each just below, at or just
+    above an integer, so that many sit on either side of their rank."""
+    terms = st.tuples(st.integers(0, max_value), st.sampled_from([-1, 0, 1]), st.integers(2, 250))
+    drawn = draw(st.lists(terms, max_size=max_len))
+    values = [max(Fraction(k) + Fraction(sign, den), Fraction(0)) for k, sign, den in drawn]
+    return tuple(sorted(values, reverse=True))
+
+
+class TestHIndex:
+    """``indices._h_index``, the one h routine, on every kind of input its
+    callers hand it: ranked tuples of ints or Fractions, and descending
+    views of sorted numpy rows of every cache dtype or of Python objects."""
+
+    DTYPES = [np.int16, np.int32, np.int64, object]
+
+    @staticmethod
+    def descending(values, dtype):
+        """A descending view of ``values`` sorted into a numpy array, as
+        the cache's ``_cell_counts`` and ``contemporary_h`` hand them over."""
+        row = np.array(values, dtype=dtype)
+        row.sort()
+        return row[::-1]
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=["int16", "int32", "int64", "object"])
+    @pytest.mark.parametrize("size", [0, 1, 7])
+    def test_empty_and_all_zero_rows(self, size, dtype):
+        assert indices._h_index(self.descending([0] * size, dtype)) == 0
+
+    @pytest.mark.parametrize("values", [(), (0,), (0, 0, 0), (Fraction(0),) * 3])
+    def test_empty_and_all_zero_sequences(self, values):
+        assert indices._h_index(values) == h_from_ranked(values) == 0
+
+    def test_fraction_just_below_its_rank(self):
+        # 2204/201 at rank 11 exceeds 10 but not 11: it does not reach its rank.
+        values = (Fraction(12),) * 10 + (Fraction(2204, 201),)
+        assert indices._h_index(values) == h_from_ranked(values) == 10
+        assert interpolate_h(values, 10) < 11
+
+    @given(ranked_vectors(max_len=40, max_value=45))
+    @settings(max_examples=200)
+    def test_int_tuples(self, values):
+        assert indices._h_index(values) == h_from_ranked(values) == brute_force_h(values)
+
+    @given(boundary_fractions())
+    @settings(max_examples=300)
+    def test_fraction_tuples_at_the_rank_boundary(self, values):
+        h = brute_force_h(values)
+        assert indices._h_index(values) == h_from_ranked(values) == h
+        assert math.floor(interpolate_h(values, h)) == h
+
+    @given(ranked_vectors(max_len=40, max_value=45), st.sampled_from(DTYPES))
+    @settings(max_examples=200)
+    def test_descending_views_of_sorted_rows(self, values, dtype):
+        assert indices._h_index(self.descending(values, dtype)) == brute_force_h(values)
+
+    @given(boundary_fractions())
+    @settings(max_examples=100)
+    def test_descending_views_of_fraction_rows(self, values):
+        assert indices._h_index(self.descending(values, object)) == brute_force_h(values)
+
+
 class TestInterpolateH:
     def test_strict_descent(self):
         assert interpolate_h([5, 4, 2], 2) == Fraction(8, 3)
@@ -401,22 +464,39 @@ class TestTopBlock:
     def shrunk(size):
         """The top block at ``size`` papers, and one-cell chunks for every
         grid cell; yields a tally of the wide cells that the block settled
-        and of those it handed to the whole slice."""
+        and of those it handed to the whole slice.
+
+        A single query's cells count as "settled" and "whole", and the
+        cells of ``_window_rows`` (the grid's path) as "grid settled" and
+        "grid whole", so neither path can hide that the other stopped
+        reaching the block.
+        """
         tally = Counter()
-        cell_row = indices._cell_row
+        cell_row, window_rows = indices._cell_row, indices._window_rows
+        in_grid = False
 
         def counted(dense, cell):
             row, h = cell_row(dense, cell)
             if dense._top_counts(*cell) is not None:
                 first, last = cell[:2]
                 # The block holds fewer columns than the cell it was tried on.
-                tally["settled" if row.size < last - first else "whole"] += 1
+                kind = "settled" if row.size < last - first else "whole"
+                tally["grid " + kind if in_grid else kind] += 1
             return row, h
+
+        def grid_rows(corpus, windows):
+            nonlocal in_grid
+            in_grid = True
+            try:
+                return window_rows(corpus, windows)
+            finally:
+                in_grid = False
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(model, "_TOP_COLUMNS", size)
             patch.setattr(indices, "_CHUNK_ELEMENTS", 0)
             patch.setattr(indices, "_cell_row", counted)
+            patch.setattr(indices, "_window_rows", grid_rows)
             yield tally
 
     @staticmethod
@@ -463,8 +543,52 @@ class TestTopBlock:
                 for _ in range(3):
                     corpus = random_corpus(rng, max_papers=80, max_career=15, max_count=max_count)
                     self.check(corpus, rng)
-        assert tally["settled"] > 0
-        assert tally["whole"] > 0
+        # Single queries and the grid each reach the block on their own.
+        assert tally["settled"] > 0 and tally["grid settled"] > 0
+        assert tally["whole"] > 0 and tally["grid whole"] > 0
+
+    @staticmethod
+    def check_agreement(corpus, rng, windows=30):
+        """A single query equals the grid's path on the same window, and
+        every evolution cell equals :func:`timed_h` at its (y, t)."""
+        y0, y_end = corpus.y0, corpus.y_end
+        fixed = [
+            (YearWindow.through(y_end), YearWindow.through(y_end)),  # the whole slice
+            (YearWindow(y0 - 5, y0 - 1), YearWindow.through(y_end)),  # no paper
+            (YearWindow.through(y_end), YearWindow(y0 - 5, y0 - 1)),  # no citation year
+            (YearWindow(y_end, y_end), YearWindow(y_end, y_end)),  # one year
+        ]
+        randoms = [(random_window(rng, corpus), random_window(rng, corpus)) for _ in range(windows)]
+        for pub, cite in fixed + randoms:
+            window = (pub.start, pub.end, cite.start, cite.end)
+            for interpolated in (False, True):
+                grid = indices._index_values(indices._window_rows(corpus, [window]), interpolated)[0]
+                assert windowed_h(corpus, pub, cite, interpolated) == grid
+        for interpolated in (False, True):
+            table = evolution_table(corpus, [0, 1, 3, 8, ALL], y0 - 2, y_end + 2, interpolated)
+            for t, row in zip(table.t_values, table.values):
+                for y, value in zip(table.years, row):
+                    length = max(y - y0, 0) if t is ALL else t
+                    assert value == timed_h(corpus, y, length, interpolated)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 50]))
+    @settings(max_examples=15, deadline=None)
+    def test_single_queries_agree_with_the_grid(self, seed, max_count):
+        # Without the shrunk block, small corpora build none, and the grid
+        # runs its cells in multi-cell chunks.
+        rng = np.random.default_rng(seed)
+        corpus = random_corpus(rng, max_papers=80, max_career=15, max_count=max_count)
+        self.check_agreement(corpus, rng)
+
+    def test_single_queries_agree_with_the_grid_through_the_block(self):
+        rng = np.random.default_rng(1621)
+        with self.shrunk(4) as tally:
+            for max_count in (1, 3, 50):
+                for _ in range(3):
+                    corpus = random_corpus(rng, max_papers=80, max_career=15, max_count=max_count)
+                    self.check_agreement(corpus, rng)
+        assert tally["settled"] > 0 and tally["grid settled"] > 0
+        assert tally["whole"] > 0 and tally["grid whole"] > 0
 
     @pytest.mark.parametrize("papers, has_block", [(16, False), (17, True)])
     def test_built_only_above_four_times_its_size(self, papers, has_block):
@@ -584,8 +708,8 @@ class TestTopBlock:
             for pub in (YearWindow(1999, 2000), YearWindow(2002, 2005)):
                 value = windowed_h(corpus, pub, YearWindow.through(2005), interpolated=True)
                 assert value == IndexValue(0, Fraction(0))
-        assert tally["settled"] > 0
-        assert tally["whole"] == 0
+        assert tally["settled"] > 0 and tally["grid settled"] > 0
+        assert tally["whole"] == tally["grid whole"] == 0
 
     def test_window_without_block_columns_sorts_the_whole_slice(self):
         # The two heavy papers of 2010 form the block; 2000..2004 holds none of it.
@@ -616,6 +740,7 @@ class TestTopBlock:
         assert block.dtype == np.int64 and block.flags.c_contiguous
         assert block[-1].max() == 2 * big
         assert tally["settled"] > 0 and tally["whole"] > 0
+        assert tally["grid settled"] > 0 and tally["grid whole"] > 0
 
 
 class TestH5Index:

@@ -1,6 +1,7 @@
 """``tools/loc.py``: which lines of a source file count as code;
 ``tools/cli_peaks.py``: trees at paths of a given length, and the commands
-run per workload."""
+run per workload; ``tools/bench_pairs.py``: the detail figures it reads
+from a benchmark summary."""
 
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
+from bench_pairs import details, summarize_details  # noqa: E402
 from cli_peaks import path_of_length, plan_commands  # noqa: E402
 from loc import code_lines  # noqa: E402
 
@@ -105,3 +107,58 @@ def test_window_sweep_validates_and_tabulates_the_plans_document(tmp_path):
         "seconds": 0,
         "outputs": str(tmp_path / "sweep_outputs.json"),
     }
+
+
+# Summaries as ``bench/run.py`` prints them, one per workload.
+SWEEP_SUMMARY = """\
+== window_sweep: attempted 294840, failed 0
+   setup_s                                0.490451 s
+   ops_per_s                               72180.9 1/s
+   peak_rss_mb                             81.3359 MB
+   (rounds: 81)
+   (queries_s: 0.02947)
+   (evolution_table_s: 0.0209589)
+{"correct": true, "attempted": 294840, "failed": 0, "metrics": {"ops_per_s": {"value": 72180.9, "unit": "1/s"}}}
+"""
+
+DATABASE_SUMMARY = """\
+== database_cli: attempted 84, failed 0
+   setup_s                                 2.01234 s
+   ops_per_s                              0.512345 1/s
+   peak_rss_mb                             90.1234 MB
+   (validate_s: 1.23456)
+   (aging_s: 1.5)
+   (groups_s: 1.61)
+   (groups_yearly_s: 1.7)
+   (evolution_s: 2.1e-05)
+   (index_s: 1.9)
+{"correct": true, "attempted": 84, "failed": 0, "metrics": {}}
+"""
+
+
+def test_details_reads_every_detail_line_of_a_summary():
+    assert details(SWEEP_SUMMARY) == {"rounds": 81, "queries_s": 0.02947, "evolution_table_s": 0.0209589}
+    assert isinstance(details(SWEEP_SUMMARY)["rounds"], int)
+    assert details(DATABASE_SUMMARY) == {
+        "validate_s": 1.23456,
+        "aging_s": 1.5,
+        "groups_s": 1.61,
+        "groups_yearly_s": 1.7,
+        "evolution_s": 2.1e-05,
+        "index_s": 1.9,
+    }
+
+
+def test_details_skips_metrics_headers_and_values_that_are_not_numbers():
+    summary = "== author_batch: attempted 900, failed 0\n   ops_per_s  1.5 1/s\n   (spans: /x/spans.jsonl)\n   (rounds: 3)\n"
+    assert details(summary) == {"rounds": 3}
+
+
+def test_summarize_details_prints_each_sides_median():
+    runs = {
+        "base": {"window_sweep": [{"detail": {"rounds": r}} for r in (70, 80, 90)]},
+        "change": {"window_sweep": [{"detail": {"rounds": r}} for r in (81, 85)] + [{"error": "exit 1: x"}]},
+    }
+    header, line = summarize_details(runs, ["window_sweep"])
+    assert "not judged" in header
+    assert line.split() == ["window_sweep", "rounds", "80", "83"]

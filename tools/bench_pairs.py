@@ -30,8 +30,14 @@ how many pairs the checkout won (ties count for neither).  A gain
 counts as shown when the checkout wins at least nine tenths of the pairs
 and the medians differ by more than the base's quartile distance.  Runs
 that report ``correct: false`` or failed operations, or that exit
-non-zero, are flagged.  The last stdout line is a JSON object with every
-run's metrics.  Standard library only.
+non-zero, are flagged.  Below that table, as information only and not
+judged, it prints each side's median of every detail figure that
+``bench/run.py`` prints as a ``(key: value)`` line: ``window_sweep``'s
+``rounds``, ``queries_s`` and ``evolution_table_s``, ``database_cli``'s
+time of each subcommand, and ``author_batch``'s ``rounds``.  A workload's
+``peak_rss_mb`` can grow with the rounds that fit into its time, so the
+round count belongs beside it.  The last stdout line is a JSON object
+with every run's metrics and detail figures.  Standard library only.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -72,8 +79,26 @@ def copy_checkout(root: str, into: str) -> None:
             shutil.copy2(source, target, follow_symlinks=False)
 
 
+# A detail line as ``bench/run.py`` prints it: an int, or a float in
+# ``.6g`` form; other values, such as a traced run's path, do not match.
+_DETAIL = re.compile(r"\s*\((\w+): ([-+.0-9e]+|nan|inf)\)\s*")
+
+
+def details(stdout: str) -> dict:
+    """The numeric ``(key: value)`` detail lines of a ``bench/run.py``
+    summary: ints where the value is written as one, floats otherwise."""
+    out = {}
+    for line in stdout.splitlines():
+        match = _DETAIL.fullmatch(line)
+        if match:
+            key, value = match.groups()
+            out[key] = int(value) if value.isdigit() else float(value)
+    return out
+
+
 def run_bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """One ``bench/run.py`` run in ``tree``: its result line, or a failure record."""
+    """One ``bench/run.py`` run in ``tree``: its result line with its detail
+    figures under ``detail``, or a failure record."""
     command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
@@ -81,7 +106,7 @@ def run_bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
     if done.returncode or not lines:
         tail = done.stderr.strip().splitlines()[-1:] or ["no output"]
         return {"error": f"exit {done.returncode}: {tail[0]}"}
-    return json.loads(lines[-1])
+    return dict(json.loads(lines[-1]), detail=details(done.stdout))
 
 
 def quartiles(values: list) -> tuple:
@@ -119,6 +144,20 @@ def summarize(runs: dict, metrics: list, workloads: list) -> list[str]:
             if wins * 10 >= 9 * len(pairs) and better > q3 - q1:
                 shown.append(f"{workload}.{name}")
     lines.append("gain shown (>= 9/10 wins, median gain above base quartile distance): " + (", ".join(shown) or "none"))
+    return lines
+
+
+def summarize_details(runs: dict, workloads: list) -> list[str]:
+    """Table lines: per workload and detail figure, each side's median.
+    Information only; no gain or loss is judged from them."""
+    lines = [f"{'workload':14s} {'detail':20s} {'base median':>12s} {'change median':>14s}   (information only, not judged)"]
+    for workload in workloads:
+        sides = [[run["detail"] for run in runs[side][workload] if "detail" in run] for side in ("base", "change")]
+        keys = dict.fromkeys(key for side in sides for detail in side for key in detail)
+        for key in keys:
+            medians = [statistics.median(values) if values else float("nan")
+                       for values in ([d[key] for d in side if key in d] for side in sides)]
+            lines.append(f"{workload:14s} {key:20s} {medians[0]:12.4g} {medians[1]:14.4g}")
     return lines
 
 
@@ -166,7 +205,7 @@ def main(argv=None) -> int:
 
     print(f"base {base_rev} against the checkout at {root}: {args.pairs} pairs, seeds "
           f"{args.first_seed}..{args.first_seed + args.pairs - 1}, {seconds:g} s per workload")
-    for line in summarize(runs, spec["end_to_end"], workloads):
+    for line in summarize(runs, spec["end_to_end"], workloads) + summarize_details(runs, workloads):
         print(line)
     problems = flags(runs)
     for line in problems:
