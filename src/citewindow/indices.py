@@ -19,6 +19,13 @@ handful of chunks.  A single query skips the chunk plan: it maps its
 window to its cell and reads h, c(h) and c(h + 1) through
 ``_cell_values``, the routine that also serves the grid's one-cell chunks.
 
+A grid reads each distinct cell once and hands its values to every
+window that maps to it.  That is exact: windows with equal (first, last,
+lo, hi) read the same columns and the same two prefix rows, so they have
+the same counts, h and interpolation.  In an evolution grid every length
+t >= y - y0 maps year y to its ``ALL`` cell, since nothing is published
+or cited before y0; that saturated part costs one dict lookup a window.
+
 A cell read alone (a single query or a one-cell chunk) that is wider
 than the cache's top block (the papers with the largest lifetime totals,
 on corpora of more than 4 x 4096 papers) first sorts only the block's
@@ -156,7 +163,8 @@ class EvolutionTable:
     ``t_values`` holds integer window lengths in ascending order, with
     the :data:`ALL` marker last when present; ``values[i][j]`` is the
     index for ``t_values[i]`` at year ``y_from + j``.  For fixed year the
-    values never decrease with growing window length.
+    values never decrease with growing window length.  Equal cells may
+    share one ``IndexValue`` object.
     """
 
     t_values: tuple
@@ -347,15 +355,18 @@ def _cell_values(dense, cell) -> tuple[int, int, int]:
     return h, row.item(h - 1) if h else 0, row.item(h) if h < row.size else 0
 
 
-def _window_rows(corpus: Corpus, windows) -> tuple[list, list, list]:
-    """h, c(h) and c(h + 1) of every (pub_start, pub_end, cite_start, cite_end)
-    window, as three lists of Python ints.
+def _window_rows(corpus: Corpus, windows) -> tuple[tuple[list, list, list], list]:
+    """h, c(h) and c(h + 1) of every distinct cell of the (pub_start,
+    pub_end, cite_start, cite_end) ``windows``, as three lists of Python
+    ints, and ``at``: the index of each window's cell in those lists.
 
-    Starts may be None (unbounded).  Works through the windows in chunks;
-    see the module docstring.
+    Starts may be None (unbounded).  The cells are numbered in first-seen
+    order and worked through in chunks; see the module docstring.
     """
     dense = corpus._dense
-    cells = [dense.slices(*window) for window in windows]
+    place = {}
+    at = [place.setdefault(dense.slices(*window), len(place)) for window in windows]
+    cells = list(place)
     hs, c_hs, c_h1s = [], [], []
     for start, stop, first, last in _chunks(cells):
         if stop - start == 1:
@@ -369,7 +380,7 @@ def _window_rows(corpus: Corpus, windows) -> tuple[list, list, list]:
             hs += h
             c_hs += c_h
             c_h1s += c_h1
-    return hs, c_hs, c_h1s
+    return (hs, c_hs, c_h1s), at
 
 
 def _index_values(rows, interpolated: bool) -> list[IndexValue]:
@@ -428,9 +439,13 @@ def evolution_table(
     ``t_values`` mixes non-negative integers with the :data:`ALL` marker;
     the marker column uses t = y - y0 per year and therefore traces the
     evolution of the ordinary h-index.  Years default to the corpus span.
+    Windows that select the same papers and citation years (such as every
+    t >= y - y0 at year y) are evaluated once and share one ``IndexValue``.
     """
     ordered_ts, years, windows = _evolution_windows(corpus, t_values, y_from, y_to)
-    cells = _index_values(_window_rows(corpus, windows), interpolated)
+    rows, at = _window_rows(corpus, windows)
+    distinct = _index_values(rows, interpolated)
+    cells = [distinct[i] for i in at]
     values = tuple(
         tuple(cells[i : i + len(years)]) for i in range(0, len(cells), len(years))
     )

@@ -111,12 +111,13 @@ def evolution_output(
     (c(h) + h·d) / (1 + d) with d = c(h) - c(h + 1), rounded exactly.
     """
     lengths, years, windows = _indices._evolution_windows(corpus, t_values, y_from, y_to)
-    hs, c_hs, c_h1s = _indices._window_rows(corpus, windows)
+    (hs, c_hs, c_h1s), at = _indices._window_rows(corpus, windows)
     if interpolated:
         terms = map(_indices._crossing_terms, hs, c_hs, c_h1s)
-        cells = [_fixed(num, den, 4) for num, den in terms]
+        distinct = [_fixed(num, den, 4) for num, den in terms]
     else:
-        cells = list(map(str, hs))
+        distinct = list(map(str, hs))
+    cells = [distinct[i] for i in at]
     columns = ["year"] + ["t=all" if t is _indices.ALL else f"t={t}" for t in lengths]
     n = len(years)
     rows = tuple((str(year), *cells[j::n]) for j, year in enumerate(years))

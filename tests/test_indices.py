@@ -33,6 +33,7 @@ from citewindow import (
     windowed_h,
 )
 from citewindow import indices, model
+from citewindow.rational import format_fixed
 from citewindow.tables import evolution_output
 from helpers import Oracle, random_corpus, random_window, ranked_vectors, small_corpora
 
@@ -381,6 +382,74 @@ class TestEvolutionTable:
                 assert a.h_interp <= b.h_interp
 
 
+class TestDistinctCells:
+    """A grid reads each distinct cell once: windows that map to the same
+    (first, last, lo, hi) of the count cache share one evaluation."""
+
+    @staticmethod
+    @contextmanager
+    def rows_read():
+        """A tally of the rows the kernel reads: one per cell read alone and
+        one per row of a multi-cell chunk."""
+        tally = Counter()
+        cell_values, chunk_counts = indices._cell_values, model._DenseCounts._chunk_counts
+
+        def one_cell(dense, cell):
+            tally["rows"] += 1
+            return cell_values(dense, cell)
+
+        def chunk(dense, cells, first, last):
+            block = chunk_counts(dense, cells, first, last)
+            tally["rows"] += block.shape[0]
+            return block
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(indices, "_cell_values", one_cell)
+            patch.setattr(model._DenseCounts, "_chunk_counts", chunk)
+            yield tally
+
+    @staticmethod
+    def grid_cells(corpus, t_values, y_from=None, y_to=None) -> list:
+        windows = indices._evolution_windows(corpus, t_values, y_from, y_to)[2]
+        return [corpus._dense.slices(*window) for window in windows]
+
+    @classmethod
+    def assert_reads_distinct_cells(cls, corpus, t_values, y_from=None, y_to=None):
+        """Both grid entry points read each distinct cell exactly once; the
+        number of distinct cells is returned."""
+        distinct = len(set(cls.grid_cells(corpus, t_values, y_from, y_to)))
+        for interpolated in (False, True):
+            for grid in (evolution_table, evolution_output):
+                with cls.rows_read() as tally:
+                    grid(corpus, t_values, y_from, y_to, interpolated)
+                assert tally["rows"] == distinct
+        return distinct
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 50]))
+    @settings(max_examples=20, deadline=None)
+    def test_random_grids_read_each_distinct_cell_once(self, seed, max_count):
+        rng = np.random.default_rng(seed)
+        corpus = random_corpus(rng, max_papers=80, max_career=15, max_count=max_count)
+        span = corpus.y_end - corpus.y0
+        self.assert_reads_distinct_cells(corpus, [0, 1, 3, span, 2 * span + 1, ALL])
+        self.assert_reads_distinct_cells(corpus, [0, 2, 7, ALL], corpus.y0 - 3, corpus.y_end + 3)
+
+    def test_saturated_lengths_cost_nothing(self):
+        # Papers, and citations to them, in every year of 1980..2019.
+        corpus = validate_corpus(
+            [
+                PaperRecord(f"p{pub}-{k}", pub, {year: (year + k) % 4 + 1 for year in range(pub, 2020)})
+                for pub in range(1980, 2020)
+                for k in range(3)
+            ]
+        )
+        t_values = list(range(40)) + [ALL]
+        assert (corpus.y0, corpus.y_end) == (1980, 2019)
+        assert len(self.grid_cells(corpus, t_values)) == 1640
+        # Year y has y - y0 unsaturated lengths and one cell for all the rest.
+        assert self.assert_reads_distinct_cells(corpus, t_values) == 820
+
+
 def brute_force_value(counts) -> IndexValue:
     """h and its interpolation (c(h) + h·d) / (1 + d), d = c(h) - c(h + 1),
     read from the sorted counts."""
@@ -562,7 +631,7 @@ class TestTopBlock:
         for pub, cite in fixed + randoms:
             window = (pub.start, pub.end, cite.start, cite.end)
             for interpolated in (False, True):
-                grid = indices._index_values(indices._window_rows(corpus, [window]), interpolated)[0]
+                grid = indices._index_values(indices._window_rows(corpus, [window])[0], interpolated)[0]
                 assert windowed_h(corpus, pub, cite, interpolated) == grid
         for interpolated in (False, True):
             table = evolution_table(corpus, [0, 1, 3, 8, ALL], y0 - 2, y_end + 2, interpolated)
@@ -589,6 +658,40 @@ class TestTopBlock:
                     self.check_agreement(corpus, rng)
         assert tally["settled"] > 0 and tally["grid settled"] > 0
         assert tally["whole"] > 0 and tally["grid whole"] > 0
+
+    @staticmethod
+    def check_saturation(corpus):
+        """Every length t >= y - y0 repeats year y's ``ALL`` cell (the
+        paper's inertia: nothing is published or cited before y0), and
+        every cell, in the table and rendered, equals :func:`timed_h`."""
+        y0, y_end = corpus.y0, corpus.y_end
+        lengths = list(range(2 * (y_end - y0 + 1) + 1))
+        for interpolated in (False, True):
+            table = evolution_table(corpus, lengths + [ALL], y0 - 2, y_end + 2, interpolated)
+            rows = evolution_output(corpus, lengths + [ALL], y0 - 2, y_end + 2, interpolated).rows
+            for y, row in zip(table.years, rows):
+                saturated = table.value(ALL, y)
+                for t, rendered in zip(lengths, row[1:]):
+                    value = table.value(t, y)
+                    if t >= y - y0:
+                        assert value == saturated
+                    assert value == timed_h(corpus, y, t, interpolated)
+                    assert rendered == (format_fixed(value.h_interp, 4) if interpolated else str(value.h))
+
+    @given(small_corpora(max_papers=30), st.integers(2, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_saturated_lengths_repeat_the_all_cell(self, corpus, size):
+        self.check_saturation(corpus)
+        with self.shrunk(size):
+            self.check_saturation(corpus)
+
+    def test_saturated_lengths_repeat_the_all_cell_through_the_block(self):
+        rng = np.random.default_rng(1622)
+        with self.shrunk(4) as tally:
+            for max_count in (1, 3, 50):
+                corpus = random_corpus(rng, max_papers=80, max_career=15, max_count=max_count)
+                self.check_saturation(corpus)
+        assert tally["grid settled"] > 0 and tally["grid whole"] > 0
 
     @pytest.mark.parametrize("papers, has_block", [(16, False), (17, True)])
     def test_built_only_above_four_times_its_size(self, papers, has_block):

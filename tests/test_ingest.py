@@ -473,6 +473,17 @@ class TestNarrowColumns:
         self.assert_dtypes(below, np.int32)
         assert below != merged
 
+    def test_a_lenient_merge_past_the_bound_does_not_round_trip(self):
+        # A known fault, stated in the README: the merged count exceeds what
+        # a corpus file may hold, so the corpus's own exports fail to parse.
+        merged = parse_corpus_json(self.json_doc(self.ABOVE), IngestOptions(lenient_clamp=True))
+        with pytest.raises(SchemaError) as json_error:
+            parse_corpus_json(export_corpus_json(merged))
+        assert str(json_error.value) == f"citation counts must be <= {MAX_COUNT} ($[1].citations.1999)"
+        with pytest.raises(ParseError) as csv_error:
+            parse_corpus_csv(*export_corpus_csv(merged))
+        assert str(csv_error.value) == f"count must lie in 1..{MAX_COUNT}, got '{2 * MAX_COUNT}' (citations line 3)"
+
 
 def csv_pair(papers: str, citations: str) -> tuple[bytes, bytes]:
     return ("paper_id,pub_year,title\n" + papers).encode(), ("paper_id,year,count\n" + citations).encode()
