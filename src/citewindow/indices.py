@@ -7,17 +7,18 @@ reaches h.  The timed index, the 5-year index, the age-discounted index
 and the evolution table are thin variations on that kernel.
 
 Window queries run in chunks.  Each window (a cell) maps, by binary
-search, to a column slice of the count cache (the papers published in
-the window) and two prefix rows (its citation years).  Consecutive cells
-form a chunk while the chunk's cells times its combined column width
-stays within a few thousand entries; a wider cell is a chunk of its own.
-A chunk costs one prefix-row subtraction over its combined slice, a mask
-that zeroes each cell's columns outside its own slice, and one row-wise
-sort.  The zeros sort last, so they change neither h nor the
-interpolation.  A whole evolution table for an author-sized corpus is a
-handful of chunks.  A single query skips the chunk plan: it maps its
-window to its cell and reads h, c(h) and c(h + 1) through
-``_cell_values``, the routine that also serves the grid's one-cell chunks.
+search of the distinct publication and citation years, to a column slice
+of the count cache (the papers published in the window) and two prefix
+rows (its citation years).  Consecutive cells form a chunk while the
+chunk's cells times its combined column width stays within a few
+thousand entries; a wider cell is a chunk of its own.  A chunk costs one
+prefix-row subtraction over its combined slice, a mask that zeroes each
+cell's columns outside its own slice, and one row-wise sort.  The zeros
+sort last, so they change neither h nor the interpolation.  A whole
+evolution table for an author-sized corpus is a handful of chunks.  A
+single query skips the chunk plan: it maps its window to its cell and
+reads h, c(h) and c(h + 1) through ``_cell_values``, the routine that
+also serves the grid's one-cell chunks.
 
 A grid reads each distinct cell once and hands its values to every
 window that maps to it.  That is exact: windows with equal (first, last,
@@ -26,29 +27,37 @@ the same counts, h and interpolation.  In an evolution grid every length
 t >= y - y0 maps year y to its ``ALL`` cell, since nothing is published
 or cited before y0; that saturated part costs one dict lookup a window.
 
-A cell read alone (a single query or a one-cell chunk) that is wider
-than the cache's top block (the papers with the largest lifetime totals,
-on corpora of more than 4 x 4096 papers) first sorts only the block's
-columns inside its slice.  The cache also bounds what any paper outside
-the block can count in the cell's citation years: no more than the
-largest total any of them has up to the last of those years, and no more
-than the sum, over those years, of the largest single-year count among
-them.  Each holds for every such paper, since its window count is its
-total up to the window's end less its total before the window, and also
-the sum of its own counts in the window's years; so ``bound``, the
-smaller of the two, holds as well.  It is never looser than the largest
-lifetime total outside the block, and for a short or early window it is
-usually much tighter.  The block's h, c(h) and c(h + 1) are then the
-slice's own when ``bound`` is 0 (every other count is 0 and sorts last),
-or when the block's sorted counts have an (h + 1)-th entry of at least
-``bound``: its first h + 1 entries then lead the whole slice, and
-c(h + 1) < h + 1.  Otherwise the cell sorts its whole slice.  Wide cells
-on large corpora usually have an h in the hundreds and tens of thousands
-of columns, so nearly all settle.
+On a corpus of more than 4 x 4096 papers the cache keeps a top block,
+the papers with the largest lifetime totals.  A cell read alone (a
+single query or a one-cell chunk), however narrow, first sorts only the
+block's columns inside its slice.  Those settle the cell's h, c(h) and
+c(h + 1) when no paper outside the block counts more in the window than
+the block's (h + 1)-th count, or 0 past the block's end: the block's
+first h + 1 entries then lead the whole slice, and any other count is
+at most c(h + 1) < h + 1.  The cache bounds those outside counts in two
+stages, each from two facts about a paper's window count: it is the
+paper's total up to the window's last citation year less its total
+before the window, so at most the former; and it is the sum of its own
+counts in the window's years, so at most the sum, over those years, of
+the largest single-year count among the papers considered.  The first
+stage takes the smaller of the two over every paper outside the block,
+for two list reads.  It is never looser than the largest lifetime total
+outside the block, and for a short or early window it is usually much
+tighter.  When it does not settle the cell, the second stage takes the
+same two bounds over the outside papers of each of the cell's
+publication years, and the largest over those years.  It holds paper by
+paper for the same reasons, and it is never above the first stage: one
+year's papers are some of the papers outside the block, so neither of
+its two bounds exceeds theirs.  It leaves out the papers published
+outside the window, such as a heavily cited old paper below a later
+window.  Only when neither stage settles the cell is its whole slice
+sorted.  Wide cells on large corpora usually have an h in the hundreds
+and tens of thousands of columns, so nearly all settle.
 
 Only the cache, ``model._DenseCounts``, reads its prefix rows: this
 module plans the chunks and asks it for one cell's sorted counts
-(``_cell_counts``), their top-block part (``_top_counts``) or a chunk's
+(``_cell_counts``), their top-block part and first-stage bound
+(``_top_counts``), the second-stage bound (``_year_bound``) or a chunk's
 masked, row-sorted block (``_chunk_counts``).  An empty corpus has a
 1 x 0 cache, so every window over it selects no paper and gives h = 0.
 
@@ -342,7 +351,10 @@ def _cell_row(dense, cell) -> tuple[np.ndarray, int]:
     if top is not None:
         row, bound = top
         h = _h_index(row)
-        if bound == 0 or (h < row.size and row.item(h) >= bound):
+        # The block's (h + 1)-th count, 0 past its end, settles the cell when
+        # no paper outside the block counts more.
+        reach = row.item(h) if h < row.size else 0
+        if bound <= reach or dense._year_bound(*cell) <= reach:
             return row, h
     row = dense._cell_counts(*cell)
     return row, _h_index(row)

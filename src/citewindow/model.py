@@ -208,8 +208,11 @@ class _DenseCounts:
     run over the papers in publication-year order, so a publication
     window is a column slice.  ``prefix[j]`` holds, per paper, the
     citations in ``years[:j]``, so any inclusive year window reduces to
-    one row subtraction.  Built lazily, once per corpus; an empty corpus
-    has a 1 x 0 cache, so every window over it counts nothing.
+    one row subtraction.  The columns are indexed by publication year:
+    ``pub_years`` lists the distinct publication years, and ``starts[k]``
+    is the first column of ``pub_years[k]``, with the column count last.
+    Built lazily, once per corpus; an empty corpus has a 1 x 0 cache and
+    ``starts == [0]``, so every window over it counts nothing.
 
     Only this class reads ``prefix``: a window's counts come out of
     :meth:`_cell_counts` (one :meth:`slices` cell), :meth:`_top_counts`
@@ -224,7 +227,8 @@ class _DenseCounts:
     A corpus of more than 4 x :data:`_TOP_COLUMNS` papers also gets, on
     first use, a top block: the prefix columns of the ``_TOP_COLUMNS``
     papers with the largest lifetime totals (``prefix[-1]``), in the same
-    column order and dtype, copied row-major, and two bounds over the
+    column order and dtype, copied row-major, with ``block_starts[k]``, the
+    first block column of ``pub_years[k]``.  Beside it come bounds over the
     papers outside it, per prefix row j: ``upto[j]``, the most citations
     any of them has in ``years[:j]``, and ``within[j]``, the sum over rows
     1..j of the largest single-year count ``prefix[i] - prefix[i - 1]`` of
@@ -232,11 +236,18 @@ class _DenseCounts:
     ``prefix[hi] - prefix[lo]``, which is at most ``prefix[hi]`` and at
     most the sum of its own counts in the years ``years[lo:hi]``, so no
     paper outside the block counts more than
-    ``min(upto[hi], within[hi] - within[lo])`` in that window.
-    :meth:`_top_counts` hands out the block's part of a wide cell with
-    that bound, and ``indices`` decides from the bound whether that part
-    alone settles the cell's h.  ``upto[-1]`` is the largest lifetime
-    total outside the block, so the bound is never looser than that.
+    ``min(upto[hi], within[hi] - within[lo])`` in that window.  The same
+    two bounds are kept per publication year too, as (rows x publication
+    years) tables over the outside papers of year k alone: ``year_upto``
+    in the cache's dtype and ``year_within`` in int64.  So no outside
+    paper of year k counts more than
+    ``min(year_upto[hi, k], year_within[hi, k] - year_within[lo, k])``,
+    which is never above the bound over all of them.  :meth:`_top_counts`
+    hands out the block's part of a cell with the bound over all years,
+    :meth:`_year_bound` gives the largest per-year bound over the cell's
+    years, and ``indices`` decides from them whether the block alone
+    settles the cell's h.  ``upto[-1]`` is the largest lifetime total
+    outside the block, so neither bound is looser than that.
     """
 
     def __init__(self, corpus: "Corpus"):
@@ -257,7 +268,10 @@ class _DenseCounts:
         np.cumsum(self.prefix, axis=0, dtype=dtype, out=self.prefix)
         # Lists, because bisect on them is much cheaper per query than np.searchsorted.
         self.years = years.tolist()
-        self.pub_years = corpus._pub_year[order].tolist()
+        # Years lie in 1000..9999, so a prepended -1 marks the first column as a change.
+        pub = corpus._pub_year[order]
+        change = np.flatnonzero(np.diff(pub, prepend=-1))
+        self.pub_years, self.starts = pub[change].tolist(), change.tolist() + [pub.size]
 
     def slices(self, pub_start, pub_end, cite_start, cite_end) -> tuple[int, int, int, int]:
         """(first, last, lo, hi) for inclusive publication and citation windows.
@@ -265,10 +279,13 @@ class _DenseCounts:
         The papers published in [pub_start, pub_end] are the columns
         ``first:last``; their citations in [cite_start, cite_end] are
         ``prefix[hi] - prefix[lo]``.  A start of None leaves the window
-        unbounded in the past.
+        unbounded in the past.  The publication bounds bisect the distinct
+        publication years, a list of one entry per year, and read the
+        columns from ``starts``, so ``first`` and ``last`` are always
+        entries of ``starts``.
         """
-        first = 0 if pub_start is None else bisect_left(self.pub_years, pub_start)
-        last = bisect_right(self.pub_years, pub_end)
+        first = 0 if pub_start is None else self.starts[bisect_left(self.pub_years, pub_start)]
+        last = self.starts[bisect_right(self.pub_years, pub_end)]
         lo = 0 if cite_start is None else bisect_left(self.years, cite_start)
         hi = bisect_right(self.years, cite_end)
         return first, last, lo, hi
@@ -280,9 +297,10 @@ class _DenseCounts:
         return row[::-1]
 
     @cached_property
-    def _top(self) -> tuple[list, np.ndarray, list, list] | None:
-        """(columns, block, upto, within) of the top block, or None for a
-        corpus of at most 4 x :data:`_TOP_COLUMNS` papers."""
+    def _top(self) -> tuple | None:
+        """(block, block_starts, upto, within, year_upto, year_within) of the
+        top block, or None for a corpus of at most 4 x :data:`_TOP_COLUMNS`
+        papers."""
         size, totals = _TOP_COLUMNS, self.prefix[-1]
         if totals.size <= 4 * size:
             return None
@@ -291,31 +309,53 @@ class _DenseCounts:
         # One pass over the rows in two buffers.  ``row`` takes prefix row j
         # with the block's columns zeroed; ``rise`` holds row j - 1 and then
         # becomes row j's rise over it, and the two swap for row j + 1.
-        upto, within = [0], [0]
+        # Each is reduced to its maximum per publication year.
+        starts = self.starts[:-1]
+        year_upto = np.zeros((self.prefix.shape[0], len(starts)), dtype=totals.dtype)
+        year_within = np.zeros(year_upto.shape, dtype=np.int64)
         row, rise = np.empty_like(totals), np.zeros_like(totals)
         for j in range(1, self.prefix.shape[0]):
             np.copyto(row, self.prefix[j])
             row[columns] = 0
-            upto.append(int(row.max()))
+            np.maximum.reduceat(row, starts, out=year_upto[j])
             np.subtract(row, rise, out=rise)
-            within.append(within[-1] + int(rise.max()))
+            year_within[j] = np.maximum.reduceat(rise, starts)
             row, rise = rise, row
+        upto, within = year_upto.max(axis=1).tolist(), np.cumsum(year_within.max(axis=1)).tolist()
+        np.cumsum(year_within, axis=0, out=year_within)
+        block_starts = np.searchsorted(columns, self.starts).tolist()
         # ``take`` copies the block row-major, so a cell reads two contiguous rows.
-        return columns.tolist(), self.prefix.take(columns, axis=1), upto, within
+        block = self.prefix.take(columns, axis=1)
+        return block, block_starts, upto, within, year_upto, year_within
 
     def _top_counts(self, first, last, lo, hi) -> tuple[np.ndarray, int] | None:
         """The top block's window counts inside one :meth:`slices` cell, in
         descending order, and the most any paper outside the block counts
-        in the cell's citation rows; None when the corpus has no block or
-        the cell is not wider than it."""
+        in the cell's citation rows; None when the corpus has no block.
+
+        Every cell of a corpus with a block is served, however narrow.  The
+        cell's column bounds are entries of ``starts``, as :meth:`slices`
+        gives them, so each maps to its publication year by a bisection of
+        ``starts`` (one entry per year) and from there to the block's
+        columns through ``block_starts``.
+        """
         top = self._top
-        if top is None or last - first <= len(top[0]):
+        if top is None:
             return None
-        columns, block, upto, within = top
-        a, b = bisect_left(columns, first), bisect_left(columns, last)
+        block, block_starts, upto, within = top[:4]
+        a, b = block_starts[bisect_left(self.starts, first)], block_starts[bisect_left(self.starts, last)]
         row = block[hi, a:b] - block[lo, a:b]
         row.sort()
         return row[::-1], min(upto[hi], within[hi] - within[lo])
+
+    def _year_bound(self, first, last, lo, hi) -> int:
+        """The most any paper outside the top block and published in the
+        years of one :meth:`slices` cell counts in the cell's citation rows;
+        only for a corpus with a block."""
+        year_upto, year_within = self._top[4:]
+        a, b = bisect_left(self.starts, first), bisect_left(self.starts, last)
+        bounds = np.minimum(year_upto[hi, a:b], year_within[hi, a:b] - year_within[lo, a:b])
+        return int(bounds.max(initial=0))
 
     def _chunk_counts(self, cells, first, last) -> np.ndarray:
         """One row per cell of ``cells``, each in descending order, over the

@@ -1,8 +1,9 @@
 """Windowed h-index kernel and the named presets."""
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from functools import partial
 
@@ -518,6 +519,47 @@ class TestCountCacheDtype:
         assert corpus._dense.prefix.dtype == dtype
 
 
+class TestYearIndex:
+    """The count cache finds a publication window's columns through the
+    first column of each distinct publication year."""
+
+    @staticmethod
+    def reference_slices(corpus, pub_start, pub_end, cite_start, cite_end):
+        """(first, last, lo, hi) by bisection over the sorted per-paper
+        publication years and the sorted distinct citation years."""
+        pub = sorted(corpus._pub_year.tolist())
+        years = sorted(set(corpus._years.tolist()))
+        return (
+            0 if pub_start is None else bisect_left(pub, pub_start),
+            bisect_right(pub, pub_end),
+            0 if cite_start is None else bisect_left(years, cite_start),
+            bisect_right(years, cite_end),
+        )
+
+    @given(
+        st.one_of(st.just(None), small_corpora(max_papers=12)),
+        st.lists(st.tuples(st.integers(-3, 14), st.integers(-3, 14)), min_size=1, max_size=8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_slices_match_reference_bisection(self, corpus, offsets):
+        # Offsets from y0 - 3 to past y_end: windows before, after and
+        # between publication years, and of one year.
+        corpus = corpus or validate_corpus([])
+        base = 2000 if corpus.is_empty else corpus.y0
+        dense = corpus._dense
+        assert len(dense.starts) == len(dense.pub_years) + 1 and dense.starts[-1] == len(corpus)
+        for a, b in offsets:
+            start, end = base + min(a, b), base + max(a, b)
+            for pub_start, cite_start in ((start, start), (None, start), (start, None), (None, None)):
+                window = (pub_start, end, cite_start, end + b % 3)
+                assert dense.slices(*window) == self.reference_slices(corpus, *window)
+
+    def test_empty_corpus_has_one_start(self):
+        dense = validate_corpus([])._dense
+        assert (dense.pub_years, dense.starts) == ([], [0])
+        assert dense.slices(None, 2000, None, 2000) == dense.slices(1990, 2010, 1990, 2010) == (0, 0, 0, 0)
+
+
 class TestTopBlock:
     """Wide one-cell windows try the cache's top block before the whole slice.
 
@@ -532,24 +574,33 @@ class TestTopBlock:
     @contextmanager
     def shrunk(size):
         """The top block at ``size`` papers, and one-cell chunks for every
-        grid cell; yields a tally of the wide cells that the block settled
-        and of those it handed to the whole slice.
+        grid cell; yields a tally of the cells that the block settled and
+        of those it handed to the whole slice.
 
-        A single query's cells count as "settled" and "whole", and the
-        cells of ``_window_rows`` (the grid's path) as "grid settled" and
-        "grid whole", so neither path can hide that the other stopped
-        reaching the block.
+        A cell read on a corpus with a block counts as "whole" when
+        ``_cell_row`` sorts its whole slice (``_DenseCounts._cell_counts``),
+        and as "settled" otherwise, whatever its width.  A single query's
+        cells count as "settled" and "whole", and the cells of
+        ``_window_rows`` (the grid's path) as "grid settled" and "grid
+        whole", so neither path can hide that the other stopped reaching
+        the block.
         """
         tally = Counter()
         cell_row, window_rows = indices._cell_row, indices._window_rows
-        in_grid = False
+        cell_counts = model._DenseCounts._cell_counts
+        in_grid = whole = False
+
+        def sorted_whole(dense, *cell):
+            nonlocal whole
+            whole = True
+            return cell_counts(dense, *cell)
 
         def counted(dense, cell):
+            nonlocal whole
+            whole = False
             row, h = cell_row(dense, cell)
-            if dense._top_counts(*cell) is not None:
-                first, last = cell[:2]
-                # The block holds fewer columns than the cell it was tried on.
-                kind = "settled" if row.size < last - first else "whole"
+            if dense._top is not None:
+                kind = "whole" if whole else "settled"
                 tally["grid " + kind if in_grid else kind] += 1
             return row, h
 
@@ -565,6 +616,7 @@ class TestTopBlock:
             patch.setattr(model, "_TOP_COLUMNS", size)
             patch.setattr(indices, "_CHUNK_ELEMENTS", 0)
             patch.setattr(indices, "_cell_row", counted)
+            patch.setattr(model._DenseCounts, "_cell_counts", sorted_whole)
             patch.setattr(indices, "_window_rows", grid_rows)
             yield tally
 
@@ -703,13 +755,21 @@ class TestTopBlock:
         assert (top is not None) == has_block
         if has_block:
             # The four largest totals, 14..17, in publication-year order; 13 is the next.
-            columns, block, upto, within = top
+            block, block_starts, upto, within, year_upto, year_within = top
             assert block[-1].tolist() == [16, 17, 14, 15]
+            columns = np.flatnonzero(corpus._dense.prefix[-1] >= 14)
             assert block.tolist() == corpus._dense.prefix[:, columns].tolist()
             # Row-major, so a cell reads two contiguous rows of it.
             assert block.flags.c_contiguous
-            assert block.dtype == corpus._dense.prefix.dtype == np.int16
+            assert block.dtype == corpus._dense.prefix.dtype == year_upto.dtype == np.int16
+            # Years 2000..2004 hold 4, 4, 3, 3 and 3 papers, and every year
+            # but 2002 one block paper.
+            assert corpus._dense.starts == [0, 4, 8, 11, 14, 17]
+            assert block_starts == [0, 1, 2, 2, 3, 4]
             assert upto == within == [0, 13]
+            # Outside the block: 1, 6, 11 in 2000; 2, 7, 12; 3, 8, 13; 4, 9; 5, 10.
+            assert year_upto.tolist() == year_within.tolist() == [[0] * 5, [11, 12, 13, 9, 10]]
+            assert year_within.dtype == np.int64
 
     def test_bounds_per_prefix_row(self):
         # Outside the block of h1 and h2: a has 2 and then 7 citations, b 3
@@ -727,17 +787,33 @@ class TestTopBlock:
         )
         with self.shrunk(2):
             dense = corpus._dense
-            columns, block, upto, within = dense._top
-            # Columns: a, c, h1 (2000), b, e, f, g, h2 (2001), d (2002).
-            assert columns == [2, 7]
+            block, block_starts, upto, within, year_upto, year_within = dense._top
+            # Columns: a, c, h1 (2000), b, e, f, g, h2 (2001), d (2002); the
+            # block holds columns 2 and 7.
+            assert dense.pub_years == [2000, 2001, 2002]
+            assert dense.starts == [0, 3, 8, 9]
+            assert block_starts == [0, 1, 2, 2]
             assert block.tolist() == [[0, 0], [50, 0], [100, 0], [150, 120]]
             assert upto == [0, 2, 3, 9]
             assert within == [0, 2, 5, 13]
+            # Per publication year (2000: a and c; 2001: b, e, f and g; 2002:
+            # d), the most in each prefix row and the running sum of the
+            # largest rise: a and c rise by 2, 1, 7; b by 0, 3, 4; d by 0, 0, 8.
+            assert year_upto.tolist() == [[0, 0, 0], [2, 0, 0], [2, 3, 0], [9, 7, 8]]
+            assert year_within.tolist() == [[0, 0, 0], [2, 0, 0], [3, 3, 0], [10, 7, 8]]
             # 2001..2002: upto is the tighter bound; 2003 alone: within is.
             row, bound = dense._top_counts(*dense.slices(None, 2003, 2001, 2002))
             assert (row.tolist(), bound) == ([100, 0], 3)
             row, bound = dense._top_counts(*dense.slices(None, 2003, 2003, 2003))
             assert (row.tolist(), bound) == ([120, 50], 8)
+            # Per year: papers of 2001 add at most 4 in 2003, those of 2000 at
+            # most 2 by 2002, and no paper of 2001 or later has a citation by 2001.
+            assert dense._year_bound(*dense.slices(None, 2003, 2003, 2003)) == 8
+            assert dense._year_bound(*dense.slices(2001, 2001, 2003, 2003)) == 4
+            assert dense._year_bound(*dense.slices(2000, 2000, 2001, 2002)) == 2
+            assert dense._year_bound(*dense.slices(2001, 2003, None, 2001)) == 0
+            # No publication year in the window: the bound is 0.
+            assert dense._year_bound(*dense.slices(2003, 2005, 2001, 2003)) == 0
             self.check(corpus, np.random.default_rng(5))
 
     @staticmethod
@@ -769,13 +845,65 @@ class TestTopBlock:
             row, bound = dense._top_counts(*dense.slices(None, 2011, 2011, 2011))
             upto = dense._top[2]
         assert dense.prefix.dtype == dtype
-        assert dense._top[1].dtype == dtype and dense._top[1].flags.c_contiguous
+        assert dense._top[0].dtype == dtype and dense._top[0].flags.c_contiguous
         assert (row.tolist(), bound) == ([5, 5, 3, 2], light)
         # The old paper's lifetime total would hand the cell on.
         assert row.item(3) < upto[-1] == 2 * big - 1
         assert tally == (Counter(settled=1) if settles else Counter(whole=1))
         self.expect(corpus, Oracle(corpus), pub, cite, value, True)
         assert value.h == 3
+
+    def test_year_bound_settles_what_the_window_bound_hands_on(self):
+        # Outside the block of four 2005 papers: an old paper of 1999 with 50
+        # citations in 2011, below every block paper's total, and thirteen
+        # papers of 2005..2009 with one citation each in 2011.
+        top = [PaperRecord(f"top{k}", 2005, {2005: 100, 2011: count}) for k, count in enumerate((5, 5, 3, 2))]
+        old = PaperRecord("old", 1999, {2011: 50})
+        lights = [PaperRecord(f"light{i:02d}", 2005 + i % 5, {2011: 1}) for i in range(13)]
+        corpus = validate_corpus(top + [old] + lights)
+        oracle, cite = Oracle(corpus), YearWindow(2011, 2011)
+        for pub, bounds, kind, interp in (
+            (YearWindow(2005, 2011), (50, 1), "settled", Fraction(3)),  # the old paper's year lies outside
+            (YearWindow.through(2011), (50, 50), "whole", Fraction(11, 3)),  # c(3) = 5, c(4) = 3
+        ):
+            with self.shrunk(4) as tally:
+                value = windowed_h(corpus, pub, cite, interpolated=True)
+                dense = corpus._dense
+                cell = dense.slices(pub.start, pub.end, cite.start, cite.end)
+                row, bound = dense._top_counts(*cell)
+                assert (bound, dense._year_bound(*cell)) == bounds
+            assert row.tolist() == [5, 5, 3, 2]
+            assert tally == Counter({kind: 1})
+            self.expect(corpus, oracle, pub, cite, value, True)
+            assert value == IndexValue(3, interp)
+
+    @staticmethod
+    def largest_outside(dense, cell) -> int:
+        """The largest window count in ``cell`` of a paper outside the
+        block: the largest of the slice's counts less the block's, as
+        multisets."""
+        first, last, lo, hi = cell
+        whole = Counter((dense.prefix[hi, first:last] - dense.prefix[lo, first:last]).tolist())
+        return max(whole - Counter(dense._top_counts(*cell)[0].tolist()), default=0)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.sampled_from([1, 3, 50]))
+    @settings(max_examples=30, deadline=None)
+    def test_year_bound_lies_between_the_outside_counts_and_the_window_bound(self, seed, size, max_count):
+        rng = np.random.default_rng(seed)
+        corpus = random_corpus(rng, max_papers=80, max_career=15, max_count=max_count)
+        oracle = Oracle(corpus)
+        windows = [(random_window(rng, corpus), random_window(rng, corpus)) for _ in range(20)]
+        # Inside ``shrunk`` the corpus may build a block; outside it, a fresh
+        # copy of it builds none.
+        for shrink, copy in ((self.shrunk(size), corpus), (nullcontext(), validate_corpus(corpus.papers))):
+            with shrink:
+                dense = copy._dense
+                for pub, cite in windows:
+                    if dense._top is not None:
+                        cell = dense.slices(pub.start, pub.end, cite.start, cite.end)
+                        bound = dense._top_counts(*cell)[1]
+                        assert self.largest_outside(dense, cell) <= dense._year_bound(*cell) <= bound
+                    assert windowed_h(copy, pub, cite).h == oracle.h(pub, cite)
 
     @pytest.mark.parametrize(
         "cite, rows",
@@ -804,7 +932,8 @@ class TestTopBlock:
             + [PaperRecord(paper_id, 2001, citations) for paper_id, citations in cited.items()]
         )
         with self.shrunk(4) as tally:
-            assert corpus._dense._top[2:] == ([0] * 6, [0] * 6)
+            assert corpus._dense._top[2:4] == ([0] * 6, [0] * 6)
+            assert not corpus._dense._top[4].any() and not corpus._dense._top[5].any()
             self.check(corpus, np.random.default_rng(7))
             # Six uncited papers each, so the block part is empty; the first
             # window ends just before the block's first column.
@@ -839,7 +968,7 @@ class TestTopBlock:
         corpus = validate_corpus(papers)
         with self.shrunk(4) as tally:
             self.check(corpus, np.random.default_rng(11))
-            columns, block, upto, within = corpus._dense._top
+            block = corpus._dense._top[0]
         assert block.dtype == np.int64 and block.flags.c_contiguous
         assert block[-1].max() == 2 * big
         assert tally["settled"] > 0 and tally["whole"] > 0

@@ -1025,7 +1025,24 @@ class TestFirstQueryMemory:
         ],
     )
     def test_peak_follows_rows_and_papers(self, papers, classics, layout):
-        corpus = workload_corpus(11, papers, classics)
+        self.assert_peak_within_bound(workload_corpus(11, papers, classics), layout)
+
+    @pytest.mark.parametrize("layout", ["csv", "json"])
+    def test_peak_with_publication_years_spread(self, layout):
+        # 17 000 papers, 17 in each year of 1000..1999, each cited in up to
+        # five years of 2000..2039: the first query builds the top block and
+        # its per-publication-year bounds, 41 x 1 000 entries each.
+        rng = np.random.default_rng(12)
+        records = [
+            PaperRecord(f"S{i:05d}", 1000 + i // 17, dict(zip(rng.integers(2000, 2040, 5).tolist(), rng.integers(1, 50, 5).tolist())))
+            for i in range(17_000)
+        ]
+        corpus = validate_corpus(records)
+        assert len(set(corpus._pub_year.tolist())) == 1_000 and len(corpus) > 4 * 4096
+        self.assert_peak_within_bound(corpus, layout)
+
+    @staticmethod
+    def assert_peak_within_bound(corpus, layout):
         if layout == "csv":
             files, parse = export_corpus_csv(corpus), parse_corpus_csv
         else:
