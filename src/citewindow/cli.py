@@ -5,8 +5,9 @@ corpus, ``evolution``/``aging``/``groups`` emit plot-ready tables, and
 ``index`` prints a single index value.  A corpus argument is either one
 JSON file or a papers CSV followed by a citations CSV.
 
-Exit codes: 0 success, 1 corpus validation or parse failure, 2 usage
-error.  Data goes to stdout (or ``--output``); diagnostics go to stderr.
+Exit codes: 0 success, 1 corpus validation or parse failure (or an
+output with no UTF-8 form), 2 usage error.  Data goes to stdout (or
+``--output``); diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -39,10 +40,17 @@ def _load(parser, args) -> Corpus:
 
 
 def _write(text: str, output: str | None) -> None:
+    """Write ``text`` to stdout or to the file ``output`` as UTF-8.
+
+    The whole text is encoded before anything is written, so a text that
+    has no UTF-8 form (a lone surrogate read from a corpus) raises
+    ``UnicodeEncodeError`` with nothing written and no file truncated.
+    """
+    data = text.encode("utf-8")
     if output is None:
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text, encoding="utf-8", newline="")
+        Path(output).write_bytes(data)
 
 
 def _checked(convert, ok, wanted: str):
@@ -294,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(parser, args)
-    except (CorpusError, OSError) as exc:
+    except (CorpusError, OSError, UnicodeEncodeError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
 

@@ -13,6 +13,9 @@ JSON corpus = one array::
 
     [{"id": "P1", "pub_year": 2000, "citations": {"2000": 1}}, ...]
 
+An empty title reads as no title in both formats, as the store build
+stores it (see :func:`citewindow.model._corpus_from_rows`).
+
 Years, publication and citation alike, must lie in 1000..9999 and counts
 in 1..2**31 - 1 (2 147 483 647), written as plain ASCII digits: no
 spaces, underscores or digits of other scripts.  Anything else fails
@@ -107,7 +110,9 @@ class IngestOptions:
 
     ``lenient_clamp`` moves citations recorded before the publication
     year up to the publication year instead of failing validation; real
-    databases contain such artifacts.
+    databases contain such artifacts.  Moved counts add up with that
+    year's own; a sum above 2**31 - 1 raises
+    :class:`~citewindow.errors.InvalidRangeError`.
     """
 
     lenient_clamp: bool = False
@@ -330,7 +335,7 @@ def _csv_columns(papers: bytes | str, citations: bytes | str) -> tuple:
         if len(index) < before + len(pub_year) or "" in index or not _in_range(pub_year, _YEAR_MIN, _YEAR_MAX):
             raise _Rejected
         pub_years.append(pub_year)
-        titles += [title or None for title in title_cells[0]] if title_cells else [None] * len(texts)
+        titles += title_cells[0] if title_cells else [None] * len(texts)
 
     parts = [(np.empty(0, np.int32), np.empty(0, np.int16), np.empty(0, np.int32))]
     for (texts, lengths), (year, count) in _csv_blocks(citations, "citations", (CITATIONS_HEADER,), (1, 2)):
@@ -372,7 +377,7 @@ def _located_csv(papers: bytes | str, citations: bytes | str, opts: IngestOption
         if row[0] in index:
             raise DuplicateIdError(row[0], locator)
         pub_years.append(_cell_int("pub_year", row[1], _YEAR_MIN, _YEAR_MAX, locator))
-        titles.append(row[2] or None if len(row) == 3 else None)
+        titles.append(row[2] if len(row) == 3 else None)
         index[row[0]] = len(index)
 
     seen, row_paper, years, counts = set(), [], [], []

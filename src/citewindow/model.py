@@ -17,10 +17,9 @@ threads or workers.
 
 In a validated corpus, years lie in 1000..9999 and counts in
 1..2**31 - 1, so no per-paper or per-window sum can overflow int64, and
-every sum over rows accumulates in int64.  Counts are int64 only in a
-corpus where a lenient merge summed one past 2**31 - 1: the dtype follows
-the values, so equal corpora hash equal.  Publication years and offsets
-stay int64, as do the ages computed from them, which
+every sum over rows accumulates in int64.  Counts are int32 in every
+corpus, however it was built.  Publication years and offsets stay
+int64, as do the ages computed from them, which
 :func:`~citewindow.indices.contemporary_h` raises to powers up to 100.
 The count cache holds int16 or int32 sums whenever every paper's total
 fits (see :class:`_DenseCounts`).
@@ -29,7 +28,12 @@ Each rule is checked once, where the data enters: :func:`validate_corpus`
 checks records and the parsers in :mod:`citewindow.ingest` check files.
 The store build they share (``_corpus_from_rows``) checks only repeated
 (paper, year) rows and citations before publication, which the parsers
-leave to it.
+leave to it.  It alone decides two rules of what a corpus holds, so every
+way in stores the same corpus:
+
+- a count is at most 2**31 - 1 even after a lenient merge: a merge past
+  it raises :class:`InvalidRangeError`;
+- an empty title is stored as None, as :class:`PaperRecord` stores it.
 """
 
 from __future__ import annotations
@@ -124,7 +128,7 @@ class PaperRecord:
 
     ``citations`` accepts any mapping or iterable of (year, count) pairs
     and is canonicalized to a year-sorted tuple; a year may appear once.
-    ``title`` is a string or None.
+    ``title`` is a string or None; an empty title becomes None.
     """
 
     id: str
@@ -398,7 +402,7 @@ class Corpus:
         self._pub_year = _frozen(pub_year)
         self._offsets = _frozen(offsets)
         self._years = _frozen(years, np.int16)
-        self._counts = _frozen(counts, counts.dtype)
+        self._counts = _frozen(counts, np.int32)
         self._titles = tuple(titles)
 
     def _columns(self) -> tuple:
@@ -510,7 +514,10 @@ def _corpus_from_rows(ids, pub_year, titles, row_paper, years, counts, lenient=F
     :class:`CitationBeforePublicationError` for the first such paper in
     input order, at its earliest early year; with ``lenient`` those
     citations move to the publication year instead and merge with the
-    rows already there.
+    rows already there.  A merged count above 2**31 - 1 raises
+    :class:`InvalidRangeError` for the first such paper in input order,
+    naming its publication year, so every stored count fits int32.  An
+    empty title is stored as None.
     """
     pub_year = np.asarray(pub_year, dtype=np.int16)
     row_paper = np.asarray(row_paper, dtype=np.int32)
@@ -521,6 +528,7 @@ def _corpus_from_rows(ids, pub_year, titles, row_paper, years, counts, lenient=F
     # Gathered first, so that the positions' int objects are freed early.
     sorted_ids, sorted_titles = (tuple(map(column.__getitem__, positions)) for column in (ids, titles))
     del positions
+    sorted_titles = tuple(title or None for title in sorted_titles) if "" in sorted_titles else sorted_titles
     rank = np.empty(len(ids), dtype=np.int64)
     rank[id_order] = np.arange(len(ids))
     # Years lie in 1000..9999, below 2**14, so rank and year share one key,
@@ -538,9 +546,12 @@ def _corpus_from_rows(ids, pub_year, titles, row_paper, years, counts, lenient=F
         # row of that paper precedes, so the clamped keys stay sorted.
         np.maximum(keys, keys >> 14 << 14 | pub_year[row_paper[order]], out=keys)
         starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        # Summed in int64, so that a sum past the bound shows; the store
+        # narrows the checked sums to int32.
         counts = np.add.reduceat(counts[order], starts, dtype=np.int64) if starts.size else counts[order]
-        # Counts stay int32 unless a merged one passes 2**31 - 1.
-        counts = counts.astype(np.int32 if counts.max(initial=0) <= _MAX_COUNT else np.int64, copy=False)
+        if (counts > _MAX_COUNT).any():
+            first = int(id_order[keys[starts[counts > _MAX_COUNT]] >> 14].min())
+            raise InvalidRangeError(f"paper {ids[first]!r} merges over {_MAX_COUNT} citations into {pub_year[first]}")
         keys = keys[starts]
     else:
         early = years < pub_year[row_paper]

@@ -340,6 +340,7 @@ class TestIndex:
         "argv",
         [
             ["--year", "2001", "--t", "1", "--preset", "h5"],
+            ["--preset", "h5"],
             ["--year", "2001"],
             ["--t", "1"],
             ["--pub-window", "*:2005"],
@@ -431,6 +432,30 @@ class TestOutputHandling:
         from_json = run(capsys, "evolution", toy_json)
         from_csv = run(capsys, "evolution", *toy_csv)
         assert from_json == from_csv
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_without_utf8_form_is_one_line(self, capsys, tmp_path, fmt):
+        # The parsers accept a lone surrogate; no output can encode it.
+        doc = tmp_path / "c.json"
+        doc.write_text('[{"id": "A\\ud800", "pub_year": 2000, "citations": {"2000": 3}}]')
+        argv = ["aging", str(doc), "--min-citations", "0", "--format", fmt]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and "surrogates not allowed" in err
+        target = tmp_path / "table.out"
+        target.write_bytes(b"earlier contents")
+        assert run(capsys, *argv, "--output", str(target)) == (1, "", err)
+        assert target.read_bytes() == b"earlier contents"
+        target.unlink()
+        assert run(capsys, *argv, "--output", str(target)) == (1, "", err)
+        assert not target.exists()
+
+    def test_lenient_merge_past_the_bound_is_one_line(self, capsys, tmp_path):
+        doc = tmp_path / "c.json"
+        doc.write_text('[{"id": "P", "pub_year": 2000, "citations": {"1999": 2147483647, "2000": 1}}]')
+        assert run(capsys, "validate", str(doc), "--lenient") == (
+            1, "", "paper 'P' merges over 2147483647 citations into 2000\n"
+        )
 
 
 def test_subcommands_build_no_paper_records(capsys, monkeypatch, toy_json, toy_csv):

@@ -352,6 +352,7 @@ class TestEvolutionTable:
     def test_t_values_sorted_all_last(self, toy_corpus):
         table = evolution_table(toy_corpus, [5, ALL, 2, 5])
         assert table.t_values == (2, 5, ALL)
+        assert repr(table.t_values) == "(2, 5, ALL)"
 
     def test_years_default_to_corpus_span(self, toy_corpus):
         table = evolution_table(toy_corpus, [2])
@@ -981,6 +982,8 @@ class TestH5Index:
 
     def test_zero_span(self, toy_corpus):
         assert h5_index(toy_corpus, 2005, span=0).h == 1
+        with pytest.raises(InvalidRangeError, match="span must be non-negative"):
+            h5_index(toy_corpus, 2005, span=-1)
 
     def test_no_papers_yet(self, toy_corpus):
         assert h5_index(toy_corpus, 1995).h == 0
@@ -1014,6 +1017,8 @@ class TestAuthorImpactFactor:
         aif = author_impact_factor(toy_corpus, 2004, delta_t=3)
         assert aif.denominator == 1  # P2 only
         assert aif.numerator == 0
+        with pytest.raises(InvalidRangeError, match="must span >= 1 year"):
+            author_impact_factor(toy_corpus, 2004, delta_t=0)
 
 
 class TestContemporaryH:

@@ -23,6 +23,7 @@ from citewindow import (
     DuplicateYearRowError,
     IngestError,
     IngestOptions,
+    InvalidRangeError,
     MalformedHeaderError,
     PaperRecord,
     ParseError,
@@ -411,21 +412,48 @@ class TestStrictIntegers:
         window = YearWindow.through(2001)
         assert corpus.total_citations() == 2 * MAX_COUNT
         assert windowed_h(corpus, window, window).h == 1
-        # Clamped rows merge into one count above the bound, summed in int64.
+        # Clamped rows would merge into one count above the bound: refused.
         doc = json_doc(citations=f'{{"1998": {MAX_COUNT}, "1999": {MAX_COUNT}}}')
-        assert parse_corpus_json(doc, IngestOptions(lenient_clamp=True)).by_id["P"].citations == ((2000, 2 * MAX_COUNT),)
+        with pytest.raises(InvalidRangeError, match=f"paper 'P' merges over {MAX_COUNT} citations into 2000"):
+            parse_corpus_json(doc, IngestOptions(lenient_clamp=True))
+
+
+# Titles and ids with every character the CSV and JSON writers treat specially.
+WAY_IN_TEXTS = "a,;'\"\n\r\0 é中"
+
+
+@st.composite
+def clamped_papers(draw):
+    """(records, entries) of up to five papers, in file order.  ``entries``
+    are (id, pub_year, title, {year: count}) with rows at or before the
+    publication year that a lenient parse merges there, to a count of at
+    most 2**31 - 1 (sometimes exactly that); ``records`` hold the merged
+    citations.  Titles are None, empty or text."""
+    ids = st.text(alphabet=st.sampled_from(WAY_IN_TEXTS), min_size=1, max_size=3)
+    titles = st.none() | st.just("") | st.text(alphabet=st.sampled_from(WAY_IN_TEXTS), max_size=4)
+    papers = draw(st.lists(st.tuples(ids, st.integers(1998, 2002), titles), max_size=5, unique_by=lambda p: p[0]))
+    records, entries = [], []
+    for paper_id, pub_year, title in papers:
+        merged = draw(st.integers(0, 3))
+        parts = draw(st.lists(st.integers(1, MAX_COUNT // 3), min_size=merged, max_size=merged))
+        if parts and draw(st.booleans()):
+            parts[-1] = MAX_COUNT - sum(parts[:-1])
+        early = draw(st.lists(st.integers(1995, pub_year), min_size=merged, max_size=merged, unique=True))
+        later = draw(st.dictionaries(st.integers(pub_year + 1, 2006), st.integers(1, MAX_COUNT), max_size=3))
+        entries.append((paper_id, pub_year, title, {**dict(zip(early, parts)), **later}))
+        records.append(PaperRecord(paper_id, pub_year, {**later, pub_year: sum(parts)}, title))
+    return records, entries
 
 
 class TestNarrowColumns:
-    """Every way in stores the same columns: int16 years, int32 row papers,
-    and counts in int32 unless a lenient merge sums one past 2**31 - 1.  The
-    dtype follows the values, so equal corpora compare and hash equal."""
+    """Every way in stores the same columns: int16 years, int32 row papers
+    and int32 counts, and None for an empty title.  The store build refuses
+    a lenient merge past 2**31 - 1, so equal corpora compare and hash equal
+    and every corpus reads back from its own exports."""
 
     RECORDS = [PaperRecord("B", 1999, {1999: 3, 2001: MAX_COUNT}, "t"), PaperRecord("A", 1000, {1000: 1, 9999: 2})]
     # B's rows before 1999 move to 1999 under --lenient and merge with its own.
     EARLY = {"B": {"1997": 1, "1999": 2, "2001": MAX_COUNT}, "A": {"1000": 1, "9999": 2}}
-    # Two rows at the bound merge into one count of 2 * (2**31 - 1).
-    ABOVE = {"B": {"1997": MAX_COUNT, "1998": MAX_COUNT}, "A": {"1000": 1}}
 
     @staticmethod
     def json_doc(citations: dict) -> bytes:
@@ -438,10 +466,10 @@ class TestNarrowColumns:
         return csv_pair("B,1999,t\nA,1000,\n", rows)
 
     @staticmethod
-    def assert_dtypes(corpus, counts):
+    def assert_dtypes(corpus):
         assert corpus._years.dtype == np.int16
         assert corpus._row_paper.dtype == np.int32
-        assert corpus._counts.dtype == counts
+        assert corpus._counts.dtype == np.int32
         assert corpus._pub_year.dtype == corpus._offsets.dtype == np.int64
 
     def test_five_ways_in(self):
@@ -458,31 +486,85 @@ class TestNarrowColumns:
         ]
         for other in [corpus, *built]:
             assert other == corpus and hash(other) == hash(corpus)
-            self.assert_dtypes(other, np.int32)
+            self.assert_dtypes(other)
 
-    def test_a_lenient_merge_past_the_bound_keeps_int64_counts(self):
+    @pytest.mark.parametrize("order", ["BA", "AB"])
+    def test_a_lenient_merge_past_the_bound_is_refused(self, order):
+        # Both papers merge past the bound, B to 2 * (2**31 - 1).  The error
+        # names the first in the files, whether or not it is first in id order.
+        papers = {
+            "B": (1999, "t", {"1997": MAX_COUNT, "1998": MAX_COUNT}),
+            "A": (1003, "", {"1000": 1, "1001": MAX_COUNT, "1003": 5}),
+        }
+        doc = json.dumps(
+            [{"id": pid, "pub_year": papers[pid][0], "title": papers[pid][1], "citations": papers[pid][2]} for pid in order]
+        ).encode()
+        pair = csv_pair(
+            "".join(f"{pid},{papers[pid][0]},{papers[pid][1]}\n" for pid in order),
+            "".join(f"{pid},{year},{count}\n" for pid in order for year, count in papers[pid][2].items()),
+        )
         lenient = IngestOptions(lenient_clamp=True)
-        merged = parse_corpus_json(self.json_doc(self.ABOVE), lenient)
-        assert merged.by_id["B"].citations == ((1999, 2 * MAX_COUNT),)
-        self.assert_dtypes(merged, np.int64)
-        again = parse_corpus_csv(*self.csv_pair(self.ABOVE), lenient)
-        assert again == merged and hash(again) == hash(merged)
-        self.assert_dtypes(again, np.int64)
-        # The same corpus without the merge is int32 throughout.
-        below = parse_corpus_json(self.json_doc({"B": {"1999": MAX_COUNT}, "A": {"1000": 1}}))
-        self.assert_dtypes(below, np.int32)
-        assert below != merged
+        ways = {
+            "json column path": lambda: parse_corpus_json(doc, lenient),
+            "json text": lambda: parse_corpus_json(doc.decode(), lenient),
+            "csv column path": lambda: parse_corpus_csv(*pair, lenient),
+            "json row reader": lambda: ingest._located_json(json.loads(doc), lenient),
+            "csv row reader": lambda: ingest._located_csv(*pair, lenient),
+            "json reference": lambda: ingest_reference.parse_json(doc, lenient),
+            "csv reference": lambda: ingest_reference.parse_csv(*pair, lenient),
+        }
+        first = order[0]
+        for way, parse in ways.items():
+            with pytest.raises(InvalidRangeError) as exc:
+                parse()
+            assert str(exc.value) == f"paper {first!r} merges over {MAX_COUNT} citations into {papers[first][0]}", way
 
-    def test_a_lenient_merge_past_the_bound_does_not_round_trip(self):
-        # A known fault, stated in the README: the merged count exceeds what
-        # a corpus file may hold, so the corpus's own exports fail to parse.
-        merged = parse_corpus_json(self.json_doc(self.ABOVE), IngestOptions(lenient_clamp=True))
-        with pytest.raises(SchemaError) as json_error:
-            parse_corpus_json(export_corpus_json(merged))
-        assert str(json_error.value) == f"citation counts must be <= {MAX_COUNT} ($[1].citations.1999)"
-        with pytest.raises(ParseError) as csv_error:
-            parse_corpus_csv(*export_corpus_csv(merged))
-        assert str(csv_error.value) == f"count must lie in 1..{MAX_COUNT}, got '{2 * MAX_COUNT}' (citations line 3)"
+    def test_a_lenient_merge_to_the_bound_round_trips(self):
+        lenient = IngestOptions(lenient_clamp=True)
+        to_bound = {"B": {"1997": MAX_COUNT - 2, "1998": 1, "1999": 1}, "A": {"1000": 1}}
+        merged = parse_corpus_json(self.json_doc(to_bound), lenient)
+        assert merged.by_id["B"].citations == ((1999, MAX_COUNT),)
+        assert parse_corpus_csv(*self.csv_pair(to_bound), lenient) == merged
+        self.assert_dtypes(merged)
+        assert parse_corpus_json(export_corpus_json(merged)) == merged
+        assert parse_corpus_csv(*export_corpus_csv(merged)) == merged
+        assert Corpus(merged.papers) == merged
+
+    @given(clamped_papers())
+    @example(([PaperRecord("P", 2000, title="")], [("P", 2000, "", {})]))
+    @settings(max_examples=100, deadline=None)
+    def test_every_way_in_stores_one_corpus(self, papers):
+        records, entries = papers
+        corpus = validate_corpus(records)
+        lenient = IngestOptions(lenient_clamp=True)
+        csv_text = [io.StringIO(), io.StringIO()]
+        paper_rows, citation_rows = (csv.writer(out, lineterminator="\r\n") for out in csv_text)
+        paper_rows.writerow(ingest.PAPERS_HEADER)
+        citation_rows.writerow(ingest.CITATIONS_HEADER)
+        for paper_id, pub_year, title, citations in entries:
+            paper_rows.writerow((paper_id, pub_year, title or ""))
+            citation_rows.writerows((paper_id, year, count) for year, count in citations.items())
+        pair = tuple(out.getvalue().encode() for out in csv_text)
+        doc = json.dumps(
+            [{"id": pid, "pub_year": pub, "title": title, "citations": cites} for pid, pub, title, cites in entries],
+            ensure_ascii=False,
+        )
+        for chars, rows, pieces in ((ingest._BLOCK_CHARS, ingest._BLOCK_ROWS, ingest._PIECE_CHARS), (16, 2, SMALL_PIECES)):
+            with mock.patch.multiple(ingest, _BLOCK_CHARS=chars, _BLOCK_ROWS=rows, _PIECE_CHARS=pieces):
+                built = [
+                    Corpus(records),
+                    parse_corpus_csv(*pair, lenient),
+                    parse_corpus_json(doc.encode(), lenient),
+                    parse_corpus_json(doc, lenient),
+                ]
+            for other in built:
+                assert other == corpus and hash(other) == hash(corpus)
+                assert other._counts.dtype == np.int32
+                assert export_corpus_csv(other) == export_corpus_csv(corpus)
+                assert export_corpus_json(other) == export_corpus_json(corpus)
+                assert parse_corpus_csv(*export_corpus_csv(other)) == corpus
+                assert parse_corpus_json(export_corpus_json(other)) == corpus
+                assert Corpus(other.papers) == corpus
 
 
 def csv_pair(papers: str, citations: str) -> tuple[bytes, bytes]:
@@ -1192,8 +1274,9 @@ class TestJsonStringCopies:
                 corpus = parse_corpus_json(doc)
             order = sorted(range(len(papers)), key=lambda i: papers[i]["id"])
             assert corpus._ids == tuple(papers[i]["id"] for i in order)
-            assert corpus._titles == tuple(papers[i].get("title") for i in order)
-            assert [type(title) for title in corpus._titles] == [type(papers[i].get("title")) for i in order]
+            # An empty title is stored as None, as records and CSV store it.
+            assert corpus._titles == tuple(papers[i].get("title") or None for i in order)
+            assert [type(title) for title in corpus._titles] == [type(papers[i].get("title") or None) for i in order]
             assert corpus == ingest_reference.parse_json(doc, IngestOptions())
 
     @given(st.lists(st.text(alphabet=st.sampled_from("a\0é") | st.characters(), max_size=4), max_size=6))

@@ -222,6 +222,7 @@ class TestValidateCorpus:
         assert Corpus(toy_corpus.papers) == toy_corpus
         assert hash(rebuilt) == hash(toy_corpus)
         assert validate_corpus([PaperRecord("P1", 2000)]) != toy_corpus
+        assert toy_corpus != toy_corpus.papers and toy_corpus.__eq__(None) is NotImplemented
         assert list(toy_corpus) == list(Corpus(reversed(toy_corpus.papers)).papers)
 
     def test_papers_sorted_by_id(self):
@@ -297,4 +298,6 @@ class TestRankedCitations:
             c.at(0)
 
     def test_from_counts_sorts(self):
-        assert RankedCitations.from_counts([2, 6, 3]).values == (6, 3, 2)
+        ranked = RankedCitations.from_counts([2, 6, 3])
+        assert ranked.values == (6, 3, 2)
+        assert len(ranked) == 3 and list(ranked) == [6, 3, 2]
